@@ -644,8 +644,8 @@ module Driver = Raftpax_netshell.Driver
 let fig_net () =
   Fmt.pr "== net: real-network loopback throughput/latency ==@.";
   let protocols =
-    if !quick then [ "raft"; "multipaxos" ]
-    else [ "raft"; "raft-star"; "raft-ll"; "raft-pql"; "mencius"; "multipaxos" ]
+    List.map H.cli_name
+      (if !quick then [ H.Raft; H.Multipaxos ] else H.all_protocols)
   in
   let client_sweep = if !quick then [ 1; 4 ] else [ 1; 4; 16 ] in
   let duration_s = if !quick then 2.0 else 10.0 in

@@ -401,7 +401,7 @@ type crosscheck_result = {
 
 let crosscheck ~protocol_name ~n ~ops ~seed =
   let protocol =
-    match Shell.protocol_of_string protocol_name with
+    match Harness.protocol_of_name protocol_name with
     | Some p -> p
     | None -> invalid_arg ("unknown protocol " ^ protocol_name)
   in

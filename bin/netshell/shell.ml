@@ -30,18 +30,6 @@ module Wire = Raftpax_netcore.Wire
 module Snapshot = Raftpax_netcore.Snapshot
 module Types = Raftpax_consensus.Types
 
-let protocols =
-  [
-    ("raft", Harness.Raft);
-    ("raft-star", Harness.Raft_star);
-    ("raft-ll", Harness.Raft_ll);
-    ("raft-pql", Harness.Raft_pql);
-    ("mencius", Harness.Mencius);
-    ("multipaxos", Harness.Multipaxos);
-  ]
-
-let protocol_of_string s = List.assoc_opt (String.lowercase_ascii s) protocols
-
 (* One site per replica, cycling through the topology — only used for
    the simulated self-send hop; cross-replica latency is the real
    network's. *)

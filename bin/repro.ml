@@ -179,6 +179,23 @@ let port_cmd =
       const run_port $ which $ acceptors $ values $ ballots $ indexes
       $ max_states)
 
+(* ---- protocols: every subcommand parses through one spelling table ---- *)
+
+let protocol_choices =
+  String.concat ", " (List.map KV.Harness.cli_name KV.Harness.all_protocols)
+
+let protocol_conv =
+  let parse s =
+    match KV.Harness.protocol_of_name s with
+    | Some p -> Ok p
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown protocol %S (try %s)" s protocol_choices))
+  in
+  Arg.conv ~docv:"PROTOCOL"
+    (parse, fun ppf p -> Fmt.string ppf (KV.Harness.cli_name p))
+
 (* ---- simulate ---- *)
 
 let run_simulate proto duration clients read_pct conflict_pct size leader_site =
@@ -212,15 +229,10 @@ let run_simulate proto duration clients read_pct conflict_pct size leader_site =
 
 let simulate_cmd =
   let proto =
-    spec_arg
-      [
-        ("raft", KV.Harness.Raft);
-        ("raft-star", KV.Harness.Raft_star);
-        ("raft-ll", KV.Harness.Raft_ll);
-        ("raft-pql", KV.Harness.Raft_pql);
-        ("mencius", KV.Harness.Mencius);
-        ("multipaxos", KV.Harness.Multipaxos);
-      ]
+    Arg.(
+      required
+      & pos 0 (some protocol_conv) None
+      & info [] ~docv:"PROTOCOL" ~doc:("Protocol: " ^ protocol_choices ^ "."))
   in
   let duration =
     Arg.(value & opt int 10 & info [ "duration" ] ~doc:"Seconds of simulated time.")
@@ -243,16 +255,6 @@ let simulate_cmd =
       $ size $ leader)
 
 (* ---- trace ---- *)
-
-let harness_protocols =
-  [
-    ("raft", KV.Harness.Raft);
-    ("raft-star", KV.Harness.Raft_star);
-    ("raft-ll", KV.Harness.Raft_ll);
-    ("raft-pql", KV.Harness.Raft_pql);
-    ("mencius", KV.Harness.Mencius);
-    ("multipaxos", KV.Harness.Multipaxos);
-  ]
 
 let run_trace proto seed requests read_pct =
   let workload =
@@ -313,10 +315,9 @@ let trace_cmd =
   let proto =
     Arg.(
       value
-      & opt (enum harness_protocols) KV.Harness.Raft_pql
-      & info [ "protocol" ]
-          ~doc:"Protocol to trace (raft, raft-star, raft-ll, raft-pql, \
-                mencius, multipaxos).")
+      & opt protocol_conv KV.Harness.Raft_pql
+      & info [ "protocol" ] ~docv:"PROTOCOL"
+          ~doc:("Protocol to trace (" ^ protocol_choices ^ ")."))
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.") in
   let requests =
@@ -345,11 +346,10 @@ let parse_protocols s =
   |> List.map String.trim
   |> List.filter (fun s -> s <> "")
   |> List.map (fun name ->
-         match List.assoc_opt (String.lowercase_ascii name) harness_protocols with
+         match KV.Harness.protocol_of_name name with
          | Some p -> p
          | None ->
-             Fmt.epr "unknown protocol %S (try %s)@." name
-               (String.concat ", " (List.map fst harness_protocols));
+             Fmt.epr "unknown protocol %S (try %s)@." name protocol_choices;
              exit 2)
 
 let parse_placement s =
@@ -482,15 +482,19 @@ let shard_cmd =
 
 (* ---- nemesis ---- *)
 
+(* Raft-LL stays out of the chaos matrix; see [Harness.protocol]. *)
+let chaos_choices =
+  String.concat ", " (List.map KV.Harness.cli_name KV.Harness.chaos_protocols)
+
 let run_nemesis proto_name seed seeds chaos_steps clients dump_trace =
   let protocols =
-    if String.lowercase_ascii proto_name = "all" then Nem.Cluster.all_protocols
+    if String.lowercase_ascii proto_name = "all" then KV.Harness.chaos_protocols
     else
-      match Nem.Cluster.protocol_of_name proto_name with
-      | Some p -> [ p ]
-      | None ->
-          Fmt.epr "unknown protocol %S (try raft, raft-star, raft-pql, \
-                   mencius, multipaxos, all)@." proto_name;
+      match KV.Harness.protocol_of_name proto_name with
+      | Some p when List.mem p KV.Harness.chaos_protocols -> [ p ]
+      | _ ->
+          Fmt.epr "unknown protocol %S (try %s, all)@." proto_name
+            chaos_choices;
           exit 2
   in
   let failed = ref 0 in
@@ -517,8 +521,7 @@ let nemesis_cmd =
       value
       & pos 0 string "all"
       & info [] ~docv:"PROTOCOL"
-          ~doc:"Protocol to torture (raft, raft-star, raft-pql, mencius, \
-                multipaxos, or all).")
+          ~doc:("Protocol to torture (" ^ chaos_choices ^ ", or all)."))
   in
   let seed =
     Arg.(value & opt int 1000 & info [ "seed" ] ~doc:"First seed of the sweep.")
@@ -862,9 +865,8 @@ let net_cmd =
   let protocol =
     Arg.(
       value
-      & opt string "raft"
-      & info [ "protocol" ]
-          ~doc:"raft|raft-star|raft-ll|raft-pql|mencius|multipaxos.")
+      & opt protocol_conv KV.Harness.Raft
+      & info [ "protocol" ] ~docv:"PROTOCOL" ~doc:(protocol_choices ^ "."))
   in
   let nodes = Arg.(value & opt int 3 & info [ "nodes" ] ~doc:"Cluster size.") in
   let ops =
@@ -877,6 +879,7 @@ let net_cmd =
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Run seed.") in
   let run mode protocol nodes ops clients seed =
     let module Driver = Raftpax_netshell.Driver in
+    let protocol = KV.Harness.cli_name protocol in
     match mode with
     | `Demo ->
         let r =

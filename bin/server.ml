@@ -6,6 +6,7 @@
        --peers 127.0.0.1:4100,127.0.0.1:4101,127.0.0.1:4102 *)
 
 module Shell = Raftpax_netshell.Shell
+module Harness = Raftpax_kvstore.Harness
 
 let () =
   let me = ref 0 in
@@ -22,7 +23,8 @@ let () =
         "LIST  comma-separated host:port for every replica, in id order" );
       ( "--protocol",
         Arg.Set_string protocol,
-        "NAME  raft|raft-star|raft-ll|raft-pql|mencius|multipaxos" );
+        "NAME  "
+        ^ String.concat "|" (List.map Harness.cli_name Harness.all_protocols) );
       ("--seed", Arg.Set_int seed, "N  engine seed");
     ]
   in
@@ -38,7 +40,7 @@ let () =
   let peers =
     Array.of_list (List.map parse_peer (String.split_on_char ',' !peers))
   in
-  match Shell.protocol_of_string !protocol with
+  match Harness.protocol_of_name !protocol with
   | None ->
       prerr_endline ("server.exe: unknown protocol " ^ !protocol);
       exit 2

@@ -24,6 +24,13 @@ let default_config =
   }
 
 let hot_key = 0
+let fifo_required = true
+let params c = c.params
+
+let override (o : Replica.override) c =
+  { c with params = o.params; bug_slot_reuse = o.mutant }
+
+let leader_hint _ = None
 
 type slot = Unknown | Value of Types.cmd | Skip
 
@@ -737,7 +744,7 @@ and flush_appends t srv =
 
 (* ---- construction and client interface ---- *)
 
-let create ?(telemetry = Telemetry.disabled) config net =
+let create ?(telemetry = Telemetry.disabled) ?leader:_ config net =
   let engine = Net.engine net in
   let n = Net.size net in
   let servers =
@@ -856,7 +863,12 @@ let skipped_count t ~node =
   Vec.iteri (fun _ s -> if s = Skip then incr c) srv.slots;
   !c
 
-let dump_slots t ~node =
+let digest t ~node =
+  Printf.sprintf "commit=%d known=%d slots=%d skips=%d"
+    (commit_frontier t ~node) (known_frontier t ~node) (slot_count t ~node)
+    (skipped_count t ~node)
+
+let dump t ~node =
   let srv = t.servers.(node) in
   let buf = Buffer.create 256 in
   Vec.iteri
@@ -889,7 +901,7 @@ let dump_state ?(rename = Fun.id) t ~node =
     srv.commit_frontier srv.applied
     (if srv.down then "D" else "U")
     (if srv.recovering then "R" else "");
-  add "%s" (dump_slots t ~node);
+  add "%s" (dump t ~node);
   let tbl name tbl render =
     let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
     add "|%s:%s" name

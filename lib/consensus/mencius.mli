@@ -68,8 +68,13 @@ type msg =
 type t
 
 val create :
-  ?telemetry:Raftpax_telemetry.Telemetry.t -> config -> Raftpax_sim.Net.t -> t
-(** [?telemetry] attaches protocol probes (appends, acks, skips,
+  ?telemetry:Raftpax_telemetry.Telemetry.t ->
+  ?leader:int ->
+  config ->
+  Raftpax_sim.Net.t ->
+  t
+(** [?leader] is ignored: every replica leads its own turns.
+    [?telemetry] attaches protocol probes (appends, acks, skips,
     revocations, catchups, commits, retransmits) and span marks; a
     revocation of slot [i] traces under the internal id [-(i + 1)] with
     phases [revoke_start] / [revoke_value] / [revoke_skip].  Defaults to
@@ -77,6 +82,19 @@ val create :
 
 val start : t -> unit
 val hot_key : int
+
+(** {1 Replica interface} — the remaining {!Replica.S} entries. *)
+
+val fifo_required : bool
+(** [true]: the skip protocol is only sound over FIFO channels. *)
+
+val params : config -> Types.params
+
+val override : Replica.override -> config -> config
+(** [mutant] sets [bug_slot_reuse]. *)
+
+val leader_hint : t -> int option
+(** Always [None]: submit anywhere. *)
 
 val submit : t -> node:int -> Types.op -> (Types.reply -> unit) -> unit
 
@@ -104,7 +122,10 @@ val applied_value : t -> node:int -> key:int -> int option
 val slot_count : t -> node:int -> int
 val skipped_count : t -> node:int -> int
 
-val dump_slots : t -> node:int -> string
+val digest : t -> node:int -> string
+(** ["commit=C known=K slots=S skips=N"]. *)
+
+val dump : t -> node:int -> string
 (** Debug view of the slot space: one token per slot —
     ["V(w<id>)"]/["G"] value, ["S"] skip, ["U"] unknown, ["!"] suffix
     when uncommitted.  For diagnosing divergence in nemesis traces. *)

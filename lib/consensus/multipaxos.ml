@@ -694,6 +694,31 @@ let committed_ops t ~node =
       | Some (Some cmd) -> Some cmd.Types.op
       | Some None | None -> None)
     (List.init srv.executed Fun.id)
+
+(* ---- replica-interface views ---- *)
+
+let fifo_required = false
+let params c = c.params
+
+let override (o : Replica.override) c =
+  { c with params = o.params; bug_no_takeover_after_restart = o.mutant }
+
+let leader_hint t = Some (leader_of t)
+
+let digest t ~node =
+  Printf.sprintf "ballot=%d chosen=%d executed=%d%s" (ballot_of t ~node)
+    (chosen_count t ~node) (executed_prefix t ~node)
+    (if leader_of t = node then " leader" else "")
+
+let dump t ~node =
+  String.concat " "
+    (List.mapi
+       (fun i (op : Types.op) ->
+         match op with
+         | Types.Put { write_id; _ } -> Printf.sprintf "%d:V(w%d)" i write_id
+         | Types.Get _ -> Printf.sprintf "%d:G" i)
+       (committed_ops t ~node))
+
 let applied_value t ~node ~key = Hashtbl.find_opt t.servers.(node).store key
 
 let crash t ~node =

@@ -87,6 +87,23 @@ val committed_ops : t -> node:int -> Types.op list
 
 val applied_value : t -> node:int -> key:int -> int option
 
+(** {1 Replica interface} — the remaining {!Replica.S} entries. *)
+
+val fifo_required : bool
+val params : config -> Types.params
+
+val override : Replica.override -> config -> config
+(** [mutant] sets [bug_no_takeover_after_restart]. *)
+
+val leader_hint : t -> int option
+(** [Some (leader_of t)]. *)
+
+val digest : t -> node:int -> string
+(** ["ballot=B chosen=C executed=E"], plus [" leader"] at the leader. *)
+
+val dump : t -> node:int -> string
+(** One token per executed instance: ["V(w<id>)"] write or ["G"] read. *)
+
 val crash : t -> node:int -> unit
 val restart : t -> node:int -> unit
 

@@ -1006,7 +1006,12 @@ let rec lease_loop t srv =
 
 (* ---- construction ---- *)
 
-let create ?(telemetry = Telemetry.disabled) config net =
+let create ?(telemetry = Telemetry.disabled) ?leader config net =
+  let config =
+    match leader with
+    | Some l -> { config with initial_leader = Some l }
+    | None -> config
+  in
   let engine = Net.engine net in
   let n = Net.size net in
   let servers =
@@ -1144,6 +1149,43 @@ let log_entries t ~node =
   List.map fst (Vec.to_list t.servers.(node).log)
 
 let lease_active t ~node = quorum_lease_active t t.servers.(node)
+
+let committed_ops t ~node =
+  let srv = t.servers.(node) in
+  let ops = ref [] in
+  for i = srv.commit_index downto 0 do
+    match (fst (Vec.get srv.log i)).Types.cmd with
+    | Some c -> ops := c.Types.op :: !ops
+    | None -> ()
+  done;
+  !ops
+
+(* ---- replica-interface views ---- *)
+
+let fifo_required = false
+let params (c : config) = c.params
+let override (o : Replica.override) (c : config) = { c with params = o.params }
+let leader_hint = leader_of
+
+let digest t ~node =
+  Printf.sprintf "term=%d commit=%d log=%d%s" (term_of t ~node)
+    (commit_index t ~node) (log_length t ~node)
+    (if leader_of t = Some node then " leader" else "")
+
+let dump t ~node =
+  let commit = commit_index t ~node in
+  String.concat " "
+    (List.mapi
+       (fun i (e : Types.entry) ->
+         let body =
+           match e.cmd with
+           | Some { Types.op = Types.Put { write_id; _ }; _ } ->
+               Printf.sprintf "V(w%d)" write_id
+           | Some { Types.op = Types.Get _; _ } -> "G"
+           | None -> "-"
+         in
+         Printf.sprintf "%d:%s%s" i body (if i > commit then "!" else ""))
+       (log_entries t ~node))
 
 let crash t ~node =
   let srv = t.servers.(node) in

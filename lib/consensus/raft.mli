@@ -79,8 +79,15 @@ type msg =
 type t
 
 val create :
-  ?telemetry:Raftpax_telemetry.Telemetry.t -> config -> Raftpax_sim.Net.t -> t
-(** [?telemetry] attaches protocol probes (elections, term changes,
+  ?telemetry:Raftpax_telemetry.Telemetry.t ->
+  ?leader:int ->
+  config ->
+  Raftpax_sim.Net.t ->
+  t
+(** [?leader] bootstraps with that replica elected, overriding the
+    config's [initial_leader].
+
+    [?telemetry] attaches protocol probes (elections, term changes,
     appends, acks, retransmits, forwards, commits, heartbeats, leases,
     local reads) and — when its tracer is live — per-request span marks.
     Defaults to the disabled instance: every probe update is a no-op on a
@@ -129,6 +136,29 @@ val applied_value : t -> node:int -> key:int -> int option
 val log_entries : t -> node:int -> Types.entry list
 val lease_active : t -> node:int -> bool
 (** Quorum-lease mode: is the replica entitled to local reads right now? *)
+
+val committed_ops : t -> node:int -> Types.op list
+(** Operations in the log prefix up to the commit index, in log order
+    (no-ops omitted) — the oracle for consistency checking. *)
+
+(** {1 Replica interface} — the remaining {!Replica.S} entries. *)
+
+val fifo_required : bool
+val params : config -> Types.params
+
+val override : Replica.override -> config -> config
+(** Replaces the params; Raft has no test-only mutation, so
+    [mutant] is ignored. *)
+
+val leader_hint : t -> int option
+(** {!leader_of}. *)
+
+val digest : t -> node:int -> string
+(** ["term=T commit=C log=L"], plus [" leader"] at the leader. *)
+
+val dump : t -> node:int -> string
+(** One token per log entry — ["V(w<id>)"]/["G"] command, ["-"] no-op,
+    ["!"] suffix when uncommitted. *)
 
 val crash : t -> node:int -> unit
 val restart : t -> node:int -> unit

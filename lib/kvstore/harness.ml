@@ -21,13 +21,31 @@ type protocol =
   | Mencius
   | Multipaxos
 
-let protocol_name = function
-  | Raft -> "Raft"
-  | Raft_star -> "Raft*"
-  | Raft_ll -> "Raft*-LL"
-  | Raft_pql -> "Raft*-PQL"
-  | Mencius -> "Raft*-Mencius"
-  | Multipaxos -> "MultiPaxos"
+(* The one spelling table: the display name, then the CLI spellings
+   (canonical first). *)
+let spellings =
+  [
+    (Raft, "Raft", [ "raft" ]);
+    (Raft_star, "Raft*", [ "raft-star" ]);
+    (Raft_ll, "Raft*-LL", [ "raft-ll" ]);
+    (Raft_pql, "Raft*-PQL", [ "raft-pql"; "pql" ]);
+    (Mencius, "Raft*-Mencius", [ "mencius" ]);
+    (Multipaxos, "MultiPaxos", [ "multipaxos" ]);
+  ]
+
+let all_protocols = List.map (fun (p, _, _) -> p) spellings
+let chaos_protocols = [ Raft; Raft_star; Raft_pql; Mencius; Multipaxos ]
+let spelling p = List.find (fun (q, _, _) -> q = p) spellings
+let protocol_name p = match spelling p with _, name, _ -> name
+let cli_name p = match spelling p with _, _, cli -> List.hd cli
+
+let protocol_of_name s =
+  let s = String.lowercase_ascii s in
+  List.find_map
+    (fun (p, name, cli) ->
+      if s = String.lowercase_ascii name || List.mem s cli then Some p
+      else None)
+    spellings
 
 type config = {
   protocol : protocol;
@@ -91,12 +109,8 @@ type instance = {
   committed_ops : node:int -> Types.op list;
 }
 
-(* The network shell's view of a runtime: the client-facing [instance]
-   plus the transport hooks — intercept outgoing cross-replica messages
-   ([w_set_wire], wrapped in the protocol-agnostic
-   {!Raftpax_netcore.Wire.protocol_msg} envelope), inject received ones
-   ([w_deliver]), and partition the command-id space across processes
-   ([w_set_cmd_ids]). *)
+(* A running replica set: the client-facing [instance], the network
+   shell's transport hooks and the nemesis / model-checker controls. *)
 type wired = {
   w_instance : instance;
   w_set_wire :
@@ -104,109 +118,93 @@ type wired = {
     unit;
   w_deliver : node:int -> Wire.protocol_msg -> unit;
   w_set_cmd_ids : base:int -> stride:int -> unit;
+  fifo_required : bool;
+  crash : node:int -> unit;
+  restart : node:int -> unit;
+  leader_hint : unit -> int option;
+  digest : node:int -> string;
+  dump : node:int -> string;
+  state : rename:(int -> int) -> node:int -> string;
+  mono : node:int -> int array;
+  invariant : unit -> string option;
+  raft_peek : (node:int -> C.Raft.peek) option;
 }
 
-let make_wired ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) protocol net
-    ~leader =
-  (* batch_size = 1 leaves [p] untouched, so the default configs reach the
-     runtimes byte-for-byte as before batching existed. *)
+(* The one generic constructor: configure, create and start any
+   {!C.Replica.S} runtime and reduce it to [wired].  [wrap] / [unwrap]
+   move its messages in and out of the {!Wire.protocol_msg} envelope. *)
+let of_replica (type c m t)
+    (module R : C.Replica.S
+      with type config = c
+       and type msg = m
+       and type t = t) ?peek ~wrap ~unwrap ?telemetry ~batched ?override
+    ~leader (cfg : c) net =
+  let o =
+    match override with
+    | Some o -> o
+    | None -> { C.Replica.params = R.params cfg; mutant = false }
+  in
+  let t =
+    R.create ?telemetry ~leader
+      (R.override { o with params = batched o.C.Replica.params } cfg)
+      net
+  in
+  R.start t;
+  {
+    w_instance =
+      {
+        submit = (fun ~node op k -> R.submit_id t ~node op k);
+        committed_ops = (fun ~node -> R.committed_ops t ~node);
+      };
+    w_set_wire =
+      (fun hook ->
+        R.set_wire t
+          (Option.map
+             (fun f ~src ~dst ~size m -> f ~src ~dst ~size (wrap m))
+             hook));
+    w_deliver = (fun ~node m -> Option.iter (R.deliver t ~node) (unwrap m));
+    w_set_cmd_ids = (fun ~base ~stride -> R.set_cmd_ids t ~base ~stride);
+    fifo_required = R.fifo_required;
+    crash = (fun ~node -> R.crash t ~node);
+    restart = (fun ~node -> R.restart t ~node);
+    leader_hint = (fun () -> R.leader_hint t);
+    digest = (fun ~node -> R.digest t ~node);
+    dump = (fun ~node -> R.dump t ~node);
+    state = (fun ~rename ~node -> R.dump_state ~rename t ~node);
+    mono = (fun ~node -> R.mono_view t ~node);
+    invariant = (fun () -> R.invariant_violation t);
+    raft_peek = Option.map (fun peek ~node -> peek t ~node) peek;
+  }
+
+(* The protocol registry: the only place a constructor picks a runtime. *)
+let make_wired ?telemetry ?(batch_size = 1) ?(batch_delay_us = 0) ?override
+    protocol net ~leader =
+  (* batch_size = 1 leaves the params untouched, so the default configs
+     reach the runtimes byte-for-byte as before batching existed. *)
   let batched (p : Types.params) =
     if batch_size <= 1 then p else { p with batch_size; batch_delay_us }
   in
+  let raft cfg =
+    of_replica (module C.Raft) ~peek:C.Raft.peek
+      ~wrap:(fun m -> Wire.Raft_msg m)
+      ~unwrap:(function Wire.Raft_msg m -> Some m | _ -> None)
+      ?telemetry ~batched ?override ~leader cfg net
+  in
   match protocol with
-  | Raft | Raft_star | Raft_ll | Raft_pql ->
-      let cfg =
-        match protocol with
-        | Raft -> C.Raft.raft ~leader ()
-        | Raft_star -> C.Raft.raft_star ~leader ()
-        | Raft_ll -> C.Raft.raft_ll ~leader ()
-        | Raft_pql -> C.Raft.raft_pql ~leader ()
-        | _ -> assert false
-      in
-      let cfg = { cfg with C.Raft.params = batched cfg.C.Raft.params } in
-      let t = C.Raft.create ?telemetry cfg net in
-      C.Raft.start t;
-      {
-        w_instance =
-          {
-            submit = (fun ~node op k -> C.Raft.submit_id t ~node op k);
-            committed_ops =
-              (fun ~node ->
-                let commit = C.Raft.commit_index t ~node in
-                C.Raft.log_entries t ~node
-                |> List.filteri (fun i _ -> i <= commit)
-                |> List.filter_map (fun (e : Types.entry) ->
-                       Option.map (fun (c : Types.cmd) -> c.op) e.cmd));
-          };
-        w_set_wire =
-          (fun hook ->
-            C.Raft.set_wire t
-              (Option.map
-                 (fun f ~src ~dst ~size m ->
-                   f ~src ~dst ~size (Wire.Raft_msg m))
-                 hook));
-        w_deliver =
-          (fun ~node m ->
-            match m with
-            | Wire.Raft_msg m -> C.Raft.deliver t ~node m
-            | Wire.Mencius_msg _ | Wire.Multipaxos_msg _ -> ());
-        w_set_cmd_ids =
-          (fun ~base ~stride -> C.Raft.set_cmd_ids t ~base ~stride);
-      }
+  | Raft -> raft (C.Raft.raft ())
+  | Raft_star -> raft (C.Raft.raft_star ())
+  | Raft_ll -> raft (C.Raft.raft_ll ())
+  | Raft_pql -> raft (C.Raft.raft_pql ())
   | Mencius ->
-      let cfg = C.Mencius.default_config in
-      let cfg = { cfg with C.Mencius.params = batched cfg.C.Mencius.params } in
-      let t = C.Mencius.create ?telemetry cfg net in
-      C.Mencius.start t;
-      {
-        w_instance =
-          {
-            submit = (fun ~node op k -> C.Mencius.submit_id t ~node op k);
-            committed_ops = (fun ~node -> C.Mencius.committed_ops t ~node);
-          };
-        w_set_wire =
-          (fun hook ->
-            C.Mencius.set_wire t
-              (Option.map
-                 (fun f ~src ~dst ~size m ->
-                   f ~src ~dst ~size (Wire.Mencius_msg m))
-                 hook));
-        w_deliver =
-          (fun ~node m ->
-            match m with
-            | Wire.Mencius_msg m -> C.Mencius.deliver t ~node m
-            | Wire.Raft_msg _ | Wire.Multipaxos_msg _ -> ());
-        w_set_cmd_ids =
-          (fun ~base ~stride -> C.Mencius.set_cmd_ids t ~base ~stride);
-      }
+      of_replica (module C.Mencius)
+        ~wrap:(fun m -> Wire.Mencius_msg m)
+        ~unwrap:(function Wire.Mencius_msg m -> Some m | _ -> None)
+        ?telemetry ~batched ?override ~leader C.Mencius.default_config net
   | Multipaxos ->
-      let cfg = C.Multipaxos.default_config in
-      let cfg =
-        { cfg with C.Multipaxos.params = batched cfg.C.Multipaxos.params }
-      in
-      let t = C.Multipaxos.create ?telemetry ~leader cfg net in
-      C.Multipaxos.start t;
-      {
-        w_instance =
-          {
-            submit = (fun ~node op k -> C.Multipaxos.submit_id t ~node op k);
-            committed_ops = (fun ~node -> C.Multipaxos.committed_ops t ~node);
-          };
-        w_set_wire =
-          (fun hook ->
-            C.Multipaxos.set_wire t
-              (Option.map
-                 (fun f ~src ~dst ~size m ->
-                   f ~src ~dst ~size (Wire.Multipaxos_msg m))
-                 hook));
-        w_deliver =
-          (fun ~node m ->
-            match m with
-            | Wire.Multipaxos_msg m -> C.Multipaxos.deliver t ~node m
-            | Wire.Raft_msg _ | Wire.Mencius_msg _ -> ());
-        w_set_cmd_ids =
-          (fun ~base ~stride -> C.Multipaxos.set_cmd_ids t ~base ~stride);
-      }
+      of_replica (module C.Multipaxos)
+        ~wrap:(fun m -> Wire.Multipaxos_msg m)
+        ~unwrap:(function Wire.Multipaxos_msg m -> Some m | _ -> None)
+        ?telemetry ~batched ?override ~leader C.Multipaxos.default_config net
 
 let make_instance ?telemetry ?batch_size ?batch_delay_us protocol net ~leader =
   (make_wired ?telemetry ?batch_size ?batch_delay_us protocol net ~leader)

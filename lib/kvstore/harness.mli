@@ -1,6 +1,12 @@
 (** Experiment harness reproducing the paper's Section-5 methodology:
     closed-loop clients per region, a measurement window with warm-up and
-    cool-down trimmed, medians over several seeded trials. *)
+    cool-down trimmed, medians over several seeded trials.
+
+    It also owns the one protocol type, its spelling table and the
+    registry ({!make_wired}) through which every layer builds a
+    runtime. *)
+
+(** {1 Protocols} *)
 
 type protocol =
   | Raft  (** vanilla Raft, log reads *)
@@ -10,7 +16,23 @@ type protocol =
   | Mencius
   | Multipaxos
 
+val all_protocols : protocol list
+
+val chaos_protocols : protocol list
+(** The protocols the nemesis chaos matrix covers: all but [Raft_ll]
+    (see the constructor's annotation in the implementation). *)
+
 val protocol_name : protocol -> string
+(** Display name: ["Raft"], ["Raft*"], ["Raft*-LL"], ["Raft*-PQL"],
+    ["Raft*-Mencius"], ["MultiPaxos"]. *)
+
+val cli_name : protocol -> string
+(** Canonical command-line spelling: ["raft"], ["raft-star"], ... *)
+
+val protocol_of_name : string -> protocol option
+(** Case-insensitive; accepts the {!protocol_name} and {!cli_name}
+    spellings (and the legacy ["pql"]), so every name a tool prints
+    parses back. *)
 
 type config = {
   protocol : protocol;
@@ -81,10 +103,13 @@ type result = {
           ({!Gc.minor_words} delta; excludes the post-run lin check) *)
 }
 
-(** {1 Protocol instances}
+(** {1 Replica sets}
 
-    A running protocol reduced to what a serving layer needs; the
-    sharded harness ({!Shard}) builds one per consensus group. *)
+    Every runtime implements {!Raftpax_consensus.Replica.S};
+    {!make_wired} is the one registry that maps a {!protocol} to its
+    runtime and default config and reduces the running instance to
+    {!wired}, the record the sharded harness, the network shell, the
+    nemesis and the model checker all drive. *)
 
 type instance = {
   submit :
@@ -95,34 +120,11 @@ type instance = {
       (** submit at a replica's colocated entry point; returns the
           command id (the span trace id) *)
   committed_ops : node:int -> Raftpax_consensus.Types.op list;
-      (** the replica's committed command order — the lin-check oracle *)
+      (** the replica's committed command order — the lin-check oracle;
+          all replicas' lists are prefixes of one another *)
 }
-
-val make_instance :
-  ?telemetry:Raftpax_telemetry.Telemetry.t ->
-  ?batch_size:int ->
-  ?batch_delay_us:int ->
-  protocol ->
-  Raftpax_sim.Net.t ->
-  leader:int ->
-  instance
-(** Create, start and reduce a protocol runtime over [net] with the
-    initial leader at replica [leader] (ignored by Mencius, which has no
-    distinguished leader).  [?batch_size] / [?batch_delay_us] (defaults
-    1 / 0) override the protocol's batching knobs; size 1 leaves the
-    default params untouched. *)
-
-(** {1 Wired instances — the real-network runtime's entry point}
-
-    The network shell ([bin/]) hosts one full runtime per process but
-    keeps only the local replica live.  [w_set_wire] intercepts every
-    cross-replica message before the simulated {!Raftpax_sim.Net} sees
-    it, wrapped in the protocol-agnostic
-    {!Raftpax_netcore.Wire.protocol_msg} envelope; the transport carries
-    the encoded bytes and the receiving process injects them with
-    [w_deliver].  [w_set_cmd_ids] partitions the command-id space across
-    processes (process [i] of [n]: [base:i stride:n]) so leader-side
-    dedup by id stays sound. *)
+(** What a serving layer needs; the sharded harness ({!Shard}) builds
+    one per consensus group. *)
 
 type wired = {
   w_instance : instance;
@@ -134,19 +136,70 @@ type wired = {
     unit)
     option ->
     unit;
+      (** intercept every cross-replica message before the simulated
+          {!Raftpax_sim.Net} sees it, wrapped in the protocol-agnostic
+          envelope; the network shell carries the encoded bytes *)
   w_deliver : node:int -> Raftpax_netcore.Wire.protocol_msg -> unit;
-      (** a message of the wrong protocol is silently dropped *)
+      (** inject a received message; one of the wrong protocol is
+          silently dropped *)
   w_set_cmd_ids : base:int -> stride:int -> unit;
+      (** partition the command-id space across processes (process [i]
+          of [n]: [base:i stride:n]) so leader-side dedup by id stays
+          sound *)
+  fifo_required : bool;
+      (** the protocol assumes FIFO channels (Mencius), so a nemesis
+          must not reorder messages against it *)
+  crash : node:int -> unit;
+  restart : node:int -> unit;
+  leader_hint : unit -> int option;
+      (** preferred submission target ([None] for Mencius — submit
+          anywhere) *)
+  digest : node:int -> string;
+      (** compact state summary; a change is a state transition worth
+          tracing *)
+  dump : node:int -> string;
+      (** full ordering view, appended to a failing nemesis trace *)
+  state : rename:(int -> int) -> node:int -> string;
+      (** the runtime's [dump_state] — the model checker's fingerprint
+          input; [rename] maps node ids for its symmetry reduction *)
+  mono : node:int -> int array;
+      (** the runtime's [mono_view]: components that never decrease *)
+  invariant : unit -> string option;
+      (** the runtime's cluster-wide safety invariants; [None] = all
+          hold *)
+  raft_peek : (node:int -> Raftpax_consensus.Raft.peek) option;
+      (** structured refinement snapshot — Raft-family protocols only *)
 }
+(** A running replica set: one full runtime of every replica.  The
+    network shell hosts one per process but keeps only the local replica
+    live, carrying messages over TCP through the [w_] hooks. *)
 
 val make_wired :
+  ?telemetry:Raftpax_telemetry.Telemetry.t ->
+  ?batch_size:int ->
+  ?batch_delay_us:int ->
+  ?override:Raftpax_consensus.Replica.override ->
+  protocol ->
+  Raftpax_sim.Net.t ->
+  leader:int ->
+  wired
+(** Create and start the protocol's runtime over [net] with replica
+    [leader] bootstrapped as leader (ignored by Mencius).
+    [?telemetry] is forwarded to the runtime's [create]; [?override]
+    replaces the default config's params and arms its test-only
+    mutation (the model checker's hook); [?batch_size] /
+    [?batch_delay_us] (defaults 1 / 0) then arm leader-side batching on
+    the resulting params — size 1 leaves them untouched. *)
+
+val make_instance :
   ?telemetry:Raftpax_telemetry.Telemetry.t ->
   ?batch_size:int ->
   ?batch_delay_us:int ->
   protocol ->
   Raftpax_sim.Net.t ->
   leader:int ->
-  wired
+  instance
+(** [(make_wired ...).w_instance]. *)
 
 val run : config -> result
 

@@ -340,9 +340,6 @@ let is_shard p =
 let is_nemesis_cfg p =
   Lint.in_lib p && Lint.has_segment ~seg:"nemesis" p && base p = "nemesis.ml"
 
-let is_cluster p =
-  Lint.in_lib p && Lint.has_segment ~seg:"nemesis" p && base p = "cluster.ml"
-
 let is_bench p = Lint.has_segment ~seg:"bench" p && base p = "main.ml"
 
 let is_scenario p =
@@ -672,12 +669,11 @@ let probe_findings facts out =
     end
   end
 
-(* scenario-parity: four obligations.  (a) every steady*/crash* binding
+(* scenario-parity: three obligations.  (a) every steady*/crash* binding
    the scenario registry references must also register its _batched
-   variant; (b) Cluster.all_protocols must enumerate every constructor
-   of its own protocol type; (c) the chaos test must iterate
-   all_protocols (or name every constructor); (d) every Harness
-   protocol must exist in the nemesis Cluster.protocol family. *)
+   variant; (b) Harness.chaos_protocols must enumerate every constructor
+   of the protocol type declared beside it; (c) the chaos test must
+   iterate chaos_protocols (or name every constructor). *)
 let scenario_findings facts out =
   List.iter
     (fun sf ->
@@ -711,13 +707,13 @@ let scenario_findings facts out =
                           b.bf_name b.bf_name)))
               sf.ff_bindings)
     facts;
-  let clusters =
-    List.filter (fun f -> is_cluster f.ff_path && f.ff_proto_ctors <> []) facts
+  let harnesses =
+    List.filter (fun f -> is_harness f.ff_path && f.ff_proto_ctors <> []) facts
   in
   List.iter
-    (fun cf ->
+    (fun hf ->
       (match
-         List.find_opt (fun b -> b.bf_name = "all_protocols") cf.ff_bindings
+         List.find_opt (fun b -> b.bf_name = "chaos_protocols") hf.ff_bindings
        with
       | None -> ()
       | Some ap ->
@@ -725,60 +721,33 @@ let scenario_findings facts out =
             (fun c ->
               if
                 (not (SSet.mem c.d_name ap.bf_ctors))
-                && not (allowed r_scenario (c.d_allows @ cf.ff_allows))
-              then
-                out
-                  (finding cf.ff_path c.d_loc r_scenario
-                     (Printf.sprintf
-                        "protocol %s is missing from all_protocols: it \
-                         never faces the chaos matrix" c.d_name)))
-            cf.ff_proto_ctors);
-      List.iter
-        (fun tf ->
-          if is_test_chaos tf.ff_path && not (allowed r_scenario tf.ff_allows)
-          then begin
-            let covered =
-              SSet.mem "all_protocols" tf.ff_idents
-              || List.for_all
-                   (fun c -> SSet.mem c.d_name tf.ff_ctors)
-                   cf.ff_proto_ctors
-            in
-            if not covered then
-              out
-                (finding_at tf.ff_path 1 r_scenario
-                   "the chaos test iterates neither all_protocols nor \
-                    every protocol constructor: part of the family dodges \
-                    the nemesis matrix")
-          end)
-        facts)
-    clusters;
-  if clusters <> [] then begin
-    let cluster_names =
-      List.fold_left
-        (fun acc cf ->
-          List.fold_left
-            (fun acc c -> SSet.add c.d_name acc)
-            acc cf.ff_proto_ctors)
-        SSet.empty clusters
-    in
-    List.iter
-      (fun hf ->
-        if is_harness hf.ff_path then
-          List.iter
-            (fun c ->
-              if
-                (not (SSet.mem c.d_name cluster_names))
                 && not (allowed r_scenario (c.d_allows @ hf.ff_allows))
               then
                 out
                   (finding hf.ff_path c.d_loc r_scenario
                      (Printf.sprintf
-                        "harness protocol %s has no nemesis Cluster.protocol \
-                         counterpart: it never faces the chaos matrix"
-                        c.d_name)))
-            hf.ff_proto_ctors)
-      facts
-  end
+                        "protocol %s is missing from chaos_protocols: it \
+                         never faces the chaos matrix" c.d_name)))
+            hf.ff_proto_ctors);
+      List.iter
+        (fun tf ->
+          if is_test_chaos tf.ff_path && not (allowed r_scenario tf.ff_allows)
+          then begin
+            let covered =
+              SSet.mem "chaos_protocols" tf.ff_idents
+              || List.for_all
+                   (fun c -> SSet.mem c.d_name tf.ff_ctors)
+                   hf.ff_proto_ctors
+            in
+            if not covered then
+              out
+                (finding_at tf.ff_path 1 r_scenario
+                   "the chaos test iterates neither chaos_protocols nor \
+                    every protocol constructor: part of the family dodges \
+                    the nemesis matrix")
+          end)
+        facts)
+    harnesses
 
 let analyze facts =
   let acc = ref [] in

@@ -3,7 +3,7 @@ module Net = Raftpax_sim.Net
 module Topology = Raftpax_sim.Topology
 module C = Raftpax_consensus
 module Types = C.Types
-module Cluster = Raftpax_nemesis.Cluster
+module Harness = Raftpax_kvstore.Harness
 module Lin_check = Raftpax_kvstore.Lin_check
 
 (* ---- choices ---- *)
@@ -52,7 +52,7 @@ type msg = { info : (int -> int) -> string; deliver : unit -> unit }
 type t = {
   engine : Engine.t;
   net : Net.t;
-  cluster : Cluster.t;
+  cluster : Harness.wired;
   n : int;
   queues : msg Queue.t array array;  (* [src].(dst), FIFO per link *)
   ops : Types.op array;
@@ -73,15 +73,13 @@ type t = {
 
 type scenario = {
   sc_name : string;
-  sc_protocol : Cluster.protocol;
+  sc_protocol : Harness.protocol;
   sc_ops : Types.op list;
   sc_targets : int list;
   sc_nodes : int;
   sc_timer_budget : int;
   sc_crash_budget : int;
-  sc_raft_config : C.Raft.config option;
-  sc_mencius_config : C.Mencius.config option;
-  sc_multipaxos_config : C.Multipaxos.config option;
+  sc_config : C.Replica.override;
   sc_fire_filter : (node:int -> label:string -> bool) option;
   sc_policy : (t -> choice option) option;
   sc_symmetry : int list;
@@ -139,7 +137,8 @@ let rec submit_next w =
       | Types.Put _ -> None
     in
     let started_us = Engine.now w.engine in
-    w.cluster.Cluster.submit ~node:w.targets.(i) op (fun reply ->
+    let inst = w.cluster.Harness.w_instance in
+    ignore @@ inst.submit ~node:w.targets.(i) op (fun reply ->
         (match op with
         | Types.Put { key; write_id; _ } ->
             w.events <-
@@ -185,9 +184,7 @@ let build sc =
        (fun ~src ~dst ~size:_ ~info deliver ->
          Queue.push { info; deliver } queues.(src).(dst)));
   let cluster =
-    Cluster.make ?raft_config:sc.sc_raft_config
-      ?mencius_config:sc.sc_mencius_config
-      ?multipaxos_config:sc.sc_multipaxos_config sc.sc_protocol net
+    Harness.make_wired ~override:sc.sc_config sc.sc_protocol net ~leader:0
   in
   Engine.manual_drain engine;
   let w =
@@ -297,11 +294,11 @@ let apply w choice =
       if Net.node_down w.net node then
         raise (Stuck (Printf.sprintf "crash of down node %d" node));
       w.crashes <- w.crashes + 1;
-      w.cluster.Cluster.crash ~node
+      w.cluster.Harness.crash ~node
   | Restart node ->
       if not (Net.node_down w.net node) then
         raise (Stuck (Printf.sprintf "restart of live node %d" node));
-      w.cluster.Cluster.restart ~node);
+      w.cluster.Harness.restart ~node);
   Engine.manual_drain w.engine
 
 (* ---- state identity ---- *)
@@ -317,7 +314,7 @@ let fingerprint_under w perm =
   let buf = Buffer.create 1024 in
   let states = Array.make w.n "" in
   for node = 0 to w.n - 1 do
-    states.(rename node) <- w.cluster.Cluster.state ~rename ~node
+    states.(rename node) <- w.cluster.Harness.state ~rename ~node
   done;
   Array.iter
     (fun s ->
@@ -397,7 +394,7 @@ let lin_violation w =
   | events -> (
       let committed = ref [] in
       for node = 0 to w.n - 1 do
-        let ops = w.cluster.Cluster.committed_ops ~node in
+        let ops = w.cluster.Harness.w_instance.committed_ops ~node in
         if List.length ops > List.length !committed then committed := ops
       done;
       let r =
@@ -414,11 +411,11 @@ let violation w =
   match w.oracle_failure with
   | Some v -> Some ("oracle: " ^ v)
   | None -> (
-      match w.cluster.Cluster.invariant () with
+      match w.cluster.Harness.invariant () with
       | Some v -> Some v
       | None -> lin_violation w)
 
-let mono_views w = Array.init w.n (fun node -> w.cluster.Cluster.mono ~node)
+let mono_views w = Array.init w.n (fun node -> w.cluster.Harness.mono ~node)
 
 let mono_regression ~before ~after =
   let bad = ref None in

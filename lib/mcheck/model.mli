@@ -12,7 +12,7 @@
     successor rebuilds a fresh world and replays the prefix, which the
     deterministic simulator makes exact. *)
 
-module Cluster = Raftpax_nemesis.Cluster
+module Harness = Raftpax_kvstore.Harness
 
 (** One atomic transition of the global system. *)
 type choice =
@@ -43,15 +43,15 @@ type t
     exploration starts (see {!Scenario}). *)
 type scenario = {
   sc_name : string;
-  sc_protocol : Cluster.protocol;
+  sc_protocol : Harness.protocol;
   sc_ops : Raftpax_consensus.Types.op list;
   sc_targets : int list;  (** submission node of each command, in order *)
   sc_nodes : int;
   sc_timer_budget : int;  (** max timer fires during exploration *)
   sc_crash_budget : int;  (** max crashes during exploration *)
-  sc_raft_config : Raftpax_consensus.Raft.config option;
-  sc_mencius_config : Raftpax_consensus.Mencius.config option;
-  sc_multipaxos_config : Raftpax_consensus.Multipaxos.config option;
+  sc_config : Raftpax_consensus.Replica.override;
+      (** params and test-only mutation applied to the protocol's
+          default config (node 0 bootstraps as leader) *)
   sc_fire_filter : (node:int -> label:string -> bool) option;
       (** restricts which pending timers exploration may fire (policies
           are exempt).  [None] allows all.  Used to keep election
@@ -124,7 +124,7 @@ val ncmds : t -> int
 val acked : t -> int
 val timers_fired : t -> int
 val crashes : t -> int
-val cluster : t -> Cluster.t
+val cluster : t -> Harness.wired
 val engine : t -> Raftpax_sim.Engine.t
 val net : t -> Raftpax_sim.Net.t
 val queue_info : t -> src:int -> dst:int -> string list

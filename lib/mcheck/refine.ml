@@ -4,7 +4,7 @@ module State = Core.State
 module Spec = Core.Spec
 module Proto_config = Core.Proto_config
 module C = Raftpax_consensus
-module Cluster = Raftpax_nemesis.Cluster
+module Harness = Raftpax_kvstore.Harness
 
 (* Implementation-refines-spec at small scope: every transition of the
    Raft* runtime must project, through the paper's Figure-3 state
@@ -90,12 +90,11 @@ let core_of_state cfg s =
   Buffer.contents buf
 
 let runtime_core cfg w =
-  match (Model.cluster w).Cluster.raft_peek with
+  match (Model.cluster w).Harness.raft_peek with
   | None -> invalid_arg "Refine: not a Raft-family cluster"
   | Some peek ->
-      core_of_peeks
-        (Array.init (Model.cluster w).Cluster.n (fun node -> peek ~node))
-        cfg
+      let n = Raftpax_sim.Net.size (Model.net w) in
+      core_of_peeks (Array.init n (fun node -> peek ~node)) cfg
 
 (* ---- spec-side search ---- *)
 

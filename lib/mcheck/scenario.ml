@@ -1,7 +1,7 @@
 module C = Raftpax_consensus
 module Types = C.Types
 module Net = Raftpax_sim.Net
-module Cluster = Raftpax_nemesis.Cluster
+module Harness = Raftpax_kvstore.Harness
 
 let put key write_id = Types.Put { key; size = 8; write_id }
 let get key = Types.Get { key }
@@ -18,13 +18,19 @@ let det_params =
     election_timeout_max_us = Types.default_params.election_timeout_min_us;
   }
 
-let raft_config_for = function
-  | Cluster.Raft -> Some { (C.Raft.raft ~leader:0 ()) with params = det_params }
-  | Cluster.Raft_star ->
-      Some { (C.Raft.raft_star ~leader:0 ()) with params = det_params }
-  | Cluster.Raft_pql ->
-      Some { (C.Raft.raft_pql ~leader:0 ()) with params = det_params }
-  | Cluster.Mencius | Cluster.Multipaxos -> None
+let is_raft = function
+  | Harness.Raft | Harness.Raft_star | Harness.Raft_ll | Harness.Raft_pql ->
+      true
+  | Harness.Mencius | Harness.Multipaxos -> false
+
+(* Only Raft draws election jitter, so only Raft scopes need [det_params];
+   the others run on their default params. *)
+let config_for protocol =
+  {
+    C.Replica.params =
+      (if is_raft protocol then det_params else Types.default_params);
+    mutant = false;
+  }
 
 (* Steady (crash-free) Raft scopes are about the replication and read
    paths.  Firing an election timer there opens a full election's worth
@@ -35,10 +41,9 @@ let raft_config_for = function
    steady-state timing.  The crash scenarios, which are about leader
    loss, allow every timer; so does nemesis, which covers the lease
    paths with the same invariant library as a sanitizer. *)
-let steady_fire_filter = function
-  | Cluster.Raft | Cluster.Raft_star | Cluster.Raft_pql ->
-      Some (fun ~node:_ ~label -> label = "heartbeat")
-  | Cluster.Mencius | Cluster.Multipaxos -> None
+let steady_fire_filter protocol =
+  if is_raft protocol then Some (fun ~node:_ ~label -> label = "heartbeat")
+  else None
 
 let base ?fire_filter ?(symmetry = []) name protocol ~ops ~targets
     ~timer_budget ~crash_budget =
@@ -50,9 +55,7 @@ let base ?fire_filter ?(symmetry = []) name protocol ~ops ~targets
     sc_nodes = 3;
     sc_timer_budget = timer_budget;
     sc_crash_budget = crash_budget;
-    sc_raft_config = raft_config_for protocol;
-    sc_mencius_config = None;
-    sc_multipaxos_config = None;
+    sc_config = config_for protocol;
     sc_fire_filter = fire_filter;
     sc_policy = None;
     sc_symmetry = symmetry;
@@ -64,7 +67,7 @@ let base ?fire_filter ?(symmetry = []) name protocol ~ops ~targets
    allows.  Policies steer by withholding links, never by inventing
    choices the model would not offer. *)
 let next_delivery ?(blocked = fun ~src:_ ~dst:_ -> false) w =
-  let n = (Model.cluster w).Cluster.n in
+  let n = Net.size (Model.net w) in
   let found = ref None in
   for src = n - 1 downto 0 do
     for dst = n - 1 downto 0 do
@@ -77,7 +80,7 @@ let next_delivery ?(blocked = fun ~src:_ ~dst:_ -> false) w =
   !found
 
 let dump_has_token w ~node tok =
-  let dump = (Model.cluster w).Cluster.dump ~node in
+  let dump = (Model.cluster w).Harness.dump ~node in
   List.mem tok (String.split_on_char ' ' dump)
 
 (* ---- clean scenarios ---- *)
@@ -90,7 +93,7 @@ let dump_has_token w ~node tok =
 let steady protocol =
   let name =
     Printf.sprintf "steady-%s"
-      (String.lowercase_ascii (Cluster.protocol_name protocol))
+      (String.lowercase_ascii (Harness.protocol_name protocol))
   in
   base ?fire_filter:(steady_fire_filter protocol) name protocol
     ~ops:[ put 11 1; get 11 ]
@@ -106,7 +109,7 @@ let steady protocol =
 let steady_sym protocol =
   let name =
     Printf.sprintf "steady-sym-%s"
-      (String.lowercase_ascii (Cluster.protocol_name protocol))
+      (String.lowercase_ascii (Harness.protocol_name protocol))
   in
   base
     ?fire_filter:(steady_fire_filter protocol)
@@ -120,14 +123,14 @@ let steady_sym_off protocol =
   { (steady_sym protocol) with Model.sc_symmetry = [] }
 
 let sym_protocols =
-  [ Cluster.Raft; Cluster.Raft_star; Cluster.Raft_pql; Cluster.Multipaxos ]
+  [ Harness.Raft; Harness.Raft_star; Harness.Raft_pql; Harness.Multipaxos ]
 
 (* The crash variant adds one crash anywhere plus restarts; with two
    timer fires an election can complete after a leader crash. *)
 let crash protocol =
   let name =
     Printf.sprintf "crash-%s"
-      (String.lowercase_ascii (Cluster.protocol_name protocol))
+      (String.lowercase_ascii (Harness.protocol_name protocol))
   in
   base name protocol
     ~ops:[ put 11 1; get 11 ]
@@ -182,34 +185,16 @@ let batchify sc =
        else [ 0; 1 ]);
     sc_timer_budget =
       (sc.Model.sc_timer_budget + if sc.Model.sc_crash_budget = 0 then 2 else 1);
-    sc_raft_config =
-      Option.map
-        (fun (c : C.Raft.config) -> { c with params = batch c.params })
-        sc.Model.sc_raft_config;
-    sc_mencius_config =
-      (match protocol with
-      | Cluster.Mencius ->
-          let c = C.Mencius.default_config in
-          Some { c with params = batch c.C.Mencius.params }
-      | _ -> sc.Model.sc_mencius_config);
-    sc_multipaxos_config =
-      (match protocol with
-      | Cluster.Multipaxos ->
-          let c = C.Multipaxos.default_config in
-          Some { c with params = batch c.C.Multipaxos.params }
-      | _ -> sc.Model.sc_multipaxos_config);
+    sc_config =
+      { sc.Model.sc_config with params = batch sc.Model.sc_config.params };
     sc_fire_filter =
       (if sc.Model.sc_crash_budget = 0 then
          Some (fun ~node:_ ~label -> label = "flush")
        else
-         let recovery =
-           match protocol with
-           | Cluster.Raft | Cluster.Raft_star | Cluster.Raft_pql -> "election"
-           | Cluster.Mencius | Cluster.Multipaxos -> "watchdog"
-         in
+         let recovery = if is_raft protocol then "election" else "watchdog" in
          Some (fun ~node:_ ~label -> label = "flush" || label = recovery));
     sc_policy =
-      (if sc.Model.sc_crash_budget > 0 && protocol = Cluster.Raft_pql then (
+      (if sc.Model.sc_crash_budget > 0 && protocol = Harness.Raft_pql then (
          (* Stop BEFORE the goal: a prefix that already acks the write
             would short-circuit the checker's exploration entirely.
             Drain the lease-establishment traffic, put the batched
@@ -273,12 +258,11 @@ let mencius_slot_reuse ~mutant () =
   {
     (base
        (if mutant then "mencius-slot-reuse" else "mencius-slot-reuse-clean")
-       Cluster.Mencius
+       Harness.Mencius
        ~ops:[ put 11 1; put 12 2; put 13 3; put 14 4 ]
        ~targets:[ 0; 1; 1; 2 ] ~timer_budget:1 ~crash_budget:0)
     with
-    sc_mencius_config =
-      Some { C.Mencius.default_config with bug_slot_reuse = mutant };
+    sc_config = { (config_for Harness.Mencius) with mutant };
     sc_policy = Some policy;
   }
 
@@ -310,16 +294,11 @@ let mp_takeover ~mutant () =
   {
     (base
        (if mutant then "mp-takeover" else "mp-takeover-clean")
-       Cluster.Multipaxos
+       Harness.Multipaxos
        ~ops:[ put 11 1; put 12 2 ]
        ~targets:[ 0; 1 ] ~timer_budget:2 ~crash_budget:0)
     with
-    sc_multipaxos_config =
-      Some
-        {
-          C.Multipaxos.default_config with
-          bug_no_takeover_after_restart = mutant;
-        };
+    sc_config = { (config_for Harness.Multipaxos) with mutant };
     sc_policy = Some policy;
   }
 
@@ -331,7 +310,7 @@ let mp_takeover ~mutant () =
    runtime transition must project to legal Spec_multipaxos steps (see
    {!Refine} and DESIGN.md for why elections stay out of scope). *)
 let refinement () =
-  base "refine-raft-star" Cluster.Raft_star
+  base "refine-raft-star" Harness.Raft_star
     ~ops:[ put 11 1; put 12 2 ]
     ~targets:[ 0; 1 ] ~timer_budget:0 ~crash_budget:0
 
@@ -339,12 +318,18 @@ let refinement () =
 
 let clean_protocols =
   [
-    Cluster.Raft;
-    Cluster.Raft_star;
-    Cluster.Raft_pql;
-    Cluster.Mencius;
-    Cluster.Multipaxos;
+    Harness.Raft;
+    Harness.Raft_star;
+    Harness.Raft_pql;
+    Harness.Mencius;
+    Harness.Multipaxos;
   ]
+
+(* A protocol spelling, restricted to a scope family's protocols. *)
+let among protocols p =
+  match Harness.protocol_of_name p with
+  | Some proto when List.mem proto protocols -> Some proto
+  | _ -> None
 
 let by_name name =
   let rec resolve s =
@@ -378,17 +363,13 @@ let by_name name =
             Option.map batchify (resolve inner)
         | _ -> (
             match strip "steady-sym-" with
-            | Some p -> (
-                match Cluster.protocol_of_name p with
-                | Some proto when List.mem proto sym_protocols ->
-                    Some (steady_sym proto)
-                | _ -> None)
+            | Some p -> Option.map steady_sym (among sym_protocols p)
             | None -> (
                 match strip "steady-" with
-                | Some p -> Option.map steady (Cluster.protocol_of_name p)
+                | Some p -> Option.map steady (among clean_protocols p)
                 | None -> (
                     match strip "crash-" with
-                    | Some p -> Option.map crash (Cluster.protocol_of_name p)
+                    | Some p -> Option.map crash (among clean_protocols p)
                     | None -> None))))
   in
   resolve (String.lowercase_ascii name)

@@ -9,20 +9,20 @@
     mutant — by invariant violation (Mencius slot reuse) or by goal
     unreachability under a complete search (MultiPaxos takeover). *)
 
-val steady : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+val steady : Raftpax_kvstore.Harness.protocol -> Model.scenario
 (** Write then read the same key at two replicas; one timer fire, no
     crashes. *)
 
-val crash : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+val crash : Raftpax_kvstore.Harness.protocol -> Model.scenario
 (** {!steady} plus one crash anywhere and a second timer fire. *)
 
-val steady_sym : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+val steady_sym : Raftpax_kvstore.Harness.protocol -> Model.scenario
 (** {!steady} with both commands at the bootstrap leader and
     [sc_symmetry = [1; 2]]: the followers are interchangeable, so the
     checker explores one representative per follower-swap orbit.  Only
     meaningful for the protocols in {!sym_protocols}. *)
 
-val steady_sym_off : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+val steady_sym_off : Raftpax_kvstore.Harness.protocol -> Model.scenario
 (** The same scope with the reduction disabled — the baseline for
     asserting the quotient shrinks the visited set with identical
     verdicts. *)
@@ -33,16 +33,16 @@ val batchify : Model.scenario -> Model.scenario
     and fingerprint, and the checker must reach exactly the unbatched
     scope's verdicts — batching is non-mutating (paper Section 4). *)
 
-val steady_batched : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+val steady_batched : Raftpax_kvstore.Harness.protocol -> Model.scenario
 
-val steady_sym_batched : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+val steady_sym_batched : Raftpax_kvstore.Harness.protocol -> Model.scenario
 (** {!steady_sym} with batching armed; [batchify] keeps the batched ops
     routed through the bootstrap leader so the follower-swap quotient
     stays sound. *)
 
-val crash_batched : Raftpax_nemesis.Cluster.protocol -> Model.scenario
+val crash_batched : Raftpax_kvstore.Harness.protocol -> Model.scenario
 
-val sym_protocols : Raftpax_nemesis.Cluster.protocol list
+val sym_protocols : Raftpax_kvstore.Harness.protocol list
 (** Protocols whose node ids are fully renamable (everything but
     Mencius, whose slot ownership is positional). *)
 
@@ -61,7 +61,7 @@ val refinement : unit -> Model.scenario
 (** The Raft* runtime scope the {!Refine} checker walks (zero fault
     budgets, bootstrap leader). *)
 
-val clean_protocols : Raftpax_nemesis.Cluster.protocol list
+val clean_protocols : Raftpax_kvstore.Harness.protocol list
 
 val by_name : string -> Model.scenario option
 (** CLI lookup: ["steady-<protocol>"], ["steady-sym-<protocol>"],

@@ -5,10 +5,11 @@ module Rng = Sim.Rng
 module Topology = Sim.Topology
 module Types = Raftpax_consensus.Types
 module Lin_check = Raftpax_kvstore.Lin_check
+module Harness = Raftpax_kvstore.Harness
 module Telemetry = Raftpax_telemetry.Telemetry
 
 type config = {
-  protocol : Cluster.protocol;
+  protocol : Harness.protocol;
   seed : int;
   chaos_steps : int;
   clients : int;
@@ -91,10 +92,10 @@ let run cfg =
   in
   Net.set_metrics net telemetry.Telemetry.metrics;
   let cluster =
-    Cluster.make ~telemetry ~batch_size:cfg.batch_size
-      ~batch_delay_us:cfg.batch_delay_us cfg.protocol net
+    Harness.make_wired ~telemetry ~batch_size:cfg.batch_size
+      ~batch_delay_us:cfg.batch_delay_us cfg.protocol net ~leader:0
   in
-  let n = cluster.Cluster.n in
+  let n = Net.size net in
   let trace = Trace.create () in
   if cfg.capture_messages then
     Net.set_monitor net
@@ -153,7 +154,7 @@ let run cfg =
               attempt client rng op
           end)
     in
-    cluster.Cluster.submit ~node op (fun reply ->
+    ignore @@ cluster.Harness.w_instance.submit ~node op (fun reply ->
         if not !finished then begin
           finished := true;
           Engine.cancel timeout;
@@ -198,14 +199,14 @@ let run cfg =
   let rec poll () =
     let now = Engine.now engine in
     for node = 0 to n - 1 do
-      let d = cluster.Cluster.digest ~node in
+      let d = cluster.Harness.digest ~node in
       if d <> last_digest.(node) then begin
         last_digest.(node) <- d;
         Trace.record trace ~now (Printf.sprintf "STATE node=%d %s" node d)
       end
     done;
     (if cfg.debug_invariants then
-       match cluster.Cluster.invariant () with
+       match cluster.Harness.invariant () with
        | None -> ()
        | Some v ->
            if not (List.mem v !invariant_failures) then begin
@@ -230,7 +231,7 @@ let run cfg =
     if (not !liveness_ok) && !attempts < 6 then begin
       incr attempts;
       let node =
-        match cluster.Cluster.leader_hint () with
+        match cluster.Harness.leader_hint () with
         | Some l -> l
         | None -> Rng.int nemesis_rng n
       in
@@ -239,7 +240,7 @@ let run cfg =
       in
       Trace.record trace ~now:(Engine.now engine)
         (Fmt.str "PROBE node=%d %a" node pp_op op);
-      cluster.Cluster.submit ~node op (fun _ ->
+      ignore @@ cluster.Harness.w_instance.submit ~node op (fun _ ->
           if not !liveness_ok then begin
             liveness_ok := true;
             Trace.record trace ~now:(Engine.now engine) "PROBE ok"
@@ -251,7 +252,9 @@ let run cfg =
   Engine.run engine ~until:final_end;
 
   (* ---- safety oracles ---- *)
-  let orders = List.init n (fun node -> cluster.Cluster.committed_ops ~node) in
+  let orders =
+    List.init n (fun node -> cluster.Harness.w_instance.committed_ops ~node)
+  in
   let longest =
     List.fold_left
       (fun best o -> if List.length o > List.length best then o else best)
@@ -317,7 +320,7 @@ let run cfg =
   if failures <> [] then
     for node = 0 to n - 1 do
       Trace.record trace ~now:(Engine.now engine)
-        (Printf.sprintf "DUMP node=%d %s" node (cluster.Cluster.dump ~node))
+        (Printf.sprintf "DUMP node=%d %s" node (cluster.Harness.dump ~node))
     done;
   (* Metric snapshot lines close the trace: they are a pure function of
      the seeded run, so they are covered by the fingerprint determinism
@@ -348,7 +351,7 @@ let run cfg =
 
 let pp_report ppf r =
   Fmt.pf ppf "%-13s seed=%-6d %s: %d ops, %d reads checked, %d faults"
-    (Cluster.protocol_name r.cfg.protocol)
+    (Harness.protocol_name r.cfg.protocol)
     r.cfg.seed
     (if r.ok then "ok" else "FAIL")
     r.ops_completed r.reads_checked r.faults_injected;

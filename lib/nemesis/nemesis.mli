@@ -19,7 +19,7 @@
     seed alone. *)
 
 type config = {
-  protocol : Cluster.protocol;
+  protocol : Raftpax_kvstore.Harness.protocol;
   seed : int;
   chaos_steps : int;  (** one fault per simulated second *)
   clients : int;
@@ -27,10 +27,11 @@ type config = {
   hot_pct : int;  (** percentage of ops on the shared contended key *)
   capture_messages : bool;  (** record every message send in the trace *)
   debug_invariants : bool;
-      (** run the runtime's cluster-wide invariant library ([Cluster.t]'s
-          [invariant]) at every state poll — the model checker's safety
-          oracles doubling as a continuous sanitizer; a violation is
-          traced as an [INVARIANT] line and fails the run *)
+      (** run the runtime's cluster-wide invariant library (the
+          replica record's [invariant]) at every state poll — the model
+          checker's safety oracles doubling as a continuous sanitizer;
+          a violation is traced as an [INVARIANT] line and fails the
+          run *)
   actions : Schedule.action list;
   batch_size : int;
       (** leader-side command batching on the cluster's protocol config;
@@ -49,7 +50,7 @@ val config :
   ?actions:Schedule.action list ->
   ?batch_size:int ->
   ?batch_delay_us:int ->
-  Cluster.protocol ->
+  Raftpax_kvstore.Harness.protocol ->
   seed:int ->
   config
 (** Defaults: 30 chaos steps, 4 clients, 50% reads, 30% hot-key ops,

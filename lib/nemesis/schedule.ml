@@ -2,11 +2,12 @@ module Sim = Raftpax_sim
 module Engine = Sim.Engine
 module Net = Sim.Net
 module Rng = Sim.Rng
+module Harness = Raftpax_kvstore.Harness
 
 type ctx = {
   engine : Engine.t;
   net : Net.t;
-  cluster : Cluster.t;
+  cluster : Harness.wired;
   rng : Rng.t;
   trace : Trace.t;
   down : bool array;
@@ -26,7 +27,7 @@ let make_ctx engine net cluster ~rng ~trace =
     cluster;
     rng;
     trace;
-    down = Array.make cluster.Cluster.n false;
+    down = Array.make (Net.size net) false;
     partition_active = false;
     chaos_active = false;
     skew_active = false;
@@ -55,23 +56,23 @@ let down_count ctx =
 
 (* Crashed replicas stay a strict minority so a majority can keep (or
    regain) progress. *)
-let max_down ctx = (ctx.cluster.Cluster.n - 1) / 2
+let max_down ctx = (Net.size ctx.net - 1) / 2
 
 let up_nodes ctx =
   List.filter
     (fun i -> not ctx.down.(i))
-    (List.init ctx.cluster.Cluster.n Fun.id)
+    (List.init (Net.size ctx.net) Fun.id)
 
 let pick_list rng xs = List.nth xs (Rng.int rng (List.length xs))
 
 let crash_node ctx node =
   ctx.down.(node) <- true;
-  ctx.cluster.Cluster.crash ~node;
+  ctx.cluster.Harness.crash ~node;
   fault ctx (Printf.sprintf "crash node=%d" node)
 
 let restart_node ctx node =
   ctx.down.(node) <- false;
-  ctx.cluster.Cluster.restart ~node;
+  ctx.cluster.Harness.restart ~node;
   fault ctx (Printf.sprintf "restart node=%d" node)
 
 let crash_random =
@@ -92,7 +93,7 @@ let restart_random =
         let downs =
           List.filter
             (fun i -> ctx.down.(i))
-            (List.init ctx.cluster.Cluster.n Fun.id)
+            (List.init (Net.size ctx.net) Fun.id)
         in
         restart_node ctx (pick_list ctx.rng downs));
   }
@@ -105,12 +106,12 @@ let crash_leader =
       (fun ctx ->
         down_count ctx < max_down ctx
         &&
-        match ctx.cluster.Cluster.leader_hint () with
+        match ctx.cluster.Harness.leader_hint () with
         | Some l -> not ctx.down.(l)
         | None -> false);
     fire =
       (fun ctx ->
-        match ctx.cluster.Cluster.leader_hint () with
+        match ctx.cluster.Harness.leader_hint () with
         | Some l when not ctx.down.(l) -> crash_node ctx l
         | _ -> ());
   }
@@ -144,7 +145,7 @@ let partition_symmetric =
     ready = (fun ctx -> not ctx.partition_active);
     fire =
       (fun ctx ->
-        let n = ctx.cluster.Cluster.n in
+        let n = Net.size ctx.net in
         (* a random minority side *)
         let side_size = 1 + Rng.int ctx.rng (max 1 ((n - 1) / 2)) in
         let order = Array.init n Fun.id in
@@ -166,7 +167,7 @@ let partition_asymmetric =
     ready = (fun ctx -> not ctx.partition_active);
     fire =
       (fun ctx ->
-        let node = Rng.int ctx.rng ctx.cluster.Cluster.n in
+        let node = Rng.int ctx.rng (Net.size ctx.net) in
         open_partition ctx
           (Printf.sprintf "partition-asym mute=%d" node)
           (fun a b -> a = node && b <> node));
@@ -185,10 +186,10 @@ let message_chaos =
             dup_probability = 0.05 +. (0.2 *. Rng.float ctx.rng 1.0);
             drop_probability = 0.1 *. Rng.float ctx.rng 1.0;
             (* FIFO-violating reorder only against protocols that don't
-               assume FIFO channels (see {!Cluster.t.fifo_required}). *)
+               assume FIFO channels (see {!Harness.wired.fifo_required}). *)
             reorder =
               Rng.bool ctx.rng 0.5
-              && not ctx.cluster.Cluster.fifo_required;
+              && not ctx.cluster.Harness.fifo_required;
           }
         in
         ctx.chaos_gen <- ctx.chaos_gen + 1;
@@ -274,10 +275,10 @@ let heal ctx =
     Engine.set_timer_skew ctx.engine None;
     ctx.skew_active <- false
   end;
-  for node = 0 to ctx.cluster.Cluster.n - 1 do
+  for node = 0 to Net.size ctx.net - 1 do
     if ctx.down.(node) then begin
       ctx.down.(node) <- false;
-      ctx.cluster.Cluster.restart ~node
+      ctx.cluster.Harness.restart ~node
     end
   done;
   note ctx "HEAL all"

@@ -15,7 +15,7 @@
 type ctx = {
   engine : Raftpax_sim.Engine.t;
   net : Raftpax_sim.Net.t;
-  cluster : Cluster.t;
+  cluster : Raftpax_kvstore.Harness.wired;
   rng : Raftpax_sim.Rng.t;  (** the nemesis' own seeded stream *)
   trace : Trace.t;
   down : bool array;
@@ -32,7 +32,7 @@ type ctx = {
 val make_ctx :
   Raftpax_sim.Engine.t ->
   Raftpax_sim.Net.t ->
-  Cluster.t ->
+  Raftpax_kvstore.Harness.wired ->
   rng:Raftpax_sim.Rng.t ->
   trace:Trace.t ->
   ctx

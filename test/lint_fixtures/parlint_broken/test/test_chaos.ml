@@ -1,2 +1,3 @@
-let () =
-  List.iter (fun p -> ignore (Cluster.protocol_name p)) Cluster.all_protocols
+(* Iterates a hand-picked list instead of chaos_protocols — scenario-parity
+   must fire on the file. *)
+let () = List.iter (fun p -> ignore (Harness.protocol_name p)) [ Harness.Raft ]

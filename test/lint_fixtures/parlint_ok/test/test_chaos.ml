@@ -1,2 +1,2 @@
 let () =
-  List.iter (fun p -> ignore (Cluster.protocol_name p)) Cluster.all_protocols
+  List.iter (fun p -> ignore (Harness.protocol_name p)) Harness.chaos_protocols

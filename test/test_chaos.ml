@@ -6,6 +6,7 @@
    seed and demands a byte-identical trace. *)
 
 open Raftpax_nemesis
+module Harness = Raftpax_kvstore.Harness
 
 let seeds = List.init 20 (fun i -> 1000 + i)
 
@@ -84,7 +85,7 @@ let seed_sensitivity_case () =
      seed bank is 20 copies of one run. *)
   let run seed =
     Trace.fingerprint
-      (Nemesis.run (Nemesis.config Cluster.Raft ~seed ~chaos_steps:10)).Nemesis.trace
+      (Nemesis.run (Nemesis.config Harness.Raft ~seed ~chaos_steps:10)).Nemesis.trace
   in
   Alcotest.(check bool) "seeds diverge" true (run 1 <> run 2)
 
@@ -92,9 +93,9 @@ let protocol_cases name case =
   List.map
     (fun p ->
       Alcotest.test_case
-        (Printf.sprintf "%s %s" (Cluster.protocol_name p) name)
+        (Printf.sprintf "%s %s" (Harness.protocol_name p) name)
         `Slow (case p))
-    Cluster.all_protocols
+    Harness.chaos_protocols
 
 let () =
   Alcotest.run "chaos"

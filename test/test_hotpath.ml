@@ -22,7 +22,7 @@ module Engine = Sim.Engine
 module Net = Sim.Net
 module Topology = Sim.Topology
 module Types = Raftpax_consensus.Types
-module Cluster = Raftpax_nemesis.Cluster
+module Harness = Raftpax_kvstore.Harness
 module Workload = Raftpax_kvstore.Workload
 
 (* FNV-1a, 64-bit.  Stable, dependency-free digest of the canonical
@@ -62,7 +62,9 @@ let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
   let nodes = List.mapi (fun i site -> { Net.id = i; site }) Topology.sites in
   let net = Net.create engine ~nodes in
   let regions = List.length Topology.sites in
-  let cluster = Cluster.make ~batch_size ~batch_delay_us protocol net in
+  let cluster =
+    Harness.make_wired ~batch_size ~batch_delay_us protocol net ~leader:0
+  in
   let wl =
     Workload.create ~seed:(Int64.of_int seed) ~regions
       {
@@ -78,7 +80,7 @@ let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
      order. *)
   let rec client_loop region () =
     let op = Workload.next_op wl ~region in
-    cluster.Cluster.submit ~node:region op (fun _reply ->
+    ignore @@ cluster.Harness.w_instance.submit ~node:region op (fun _reply ->
         if Engine.now engine < 14_000_000 then client_loop region ())
   in
   for region = 0 to regions - 1 do
@@ -90,7 +92,7 @@ let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
   (* Direct injections (distinct key space, above the workload's
      [records]) used to grow the diverged tails on cue. *)
   let inject ~node key =
-    cluster.Cluster.submit ~node
+    ignore @@ cluster.Harness.w_instance.submit ~node
       (Types.Put { key; size = 64; write_id = 9000 + key })
       (fun _reply -> ())
   in
@@ -113,15 +115,15 @@ let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
      heal, restart.  Everyone comes back a follower and the next
      election solicits the long-log/old-term voters 0 and 1. *)
   Engine.run engine ~until:7_000_000;
-  List.iter (fun node -> cluster.Cluster.crash ~node) [ 2; 3; 4 ];
+  List.iter (fun node -> cluster.Harness.crash ~node) [ 2; 3; 4 ];
   Net.set_partition net None;
   Engine.run engine ~until:7_300_000;
-  List.iter (fun node -> cluster.Cluster.restart ~node) [ 2; 3; 4 ];
+  List.iter (fun node -> cluster.Harness.restart ~node) [ 2; 3; 4 ];
   (* Act 2: crash node 0 with traffic in flight. *)
   Engine.run engine ~until:9_500_000;
-  cluster.Cluster.crash ~node:0;
+  cluster.Harness.crash ~node:0;
   Engine.run engine ~until:13_100_000;
-  cluster.Cluster.restart ~node:0;
+  cluster.Harness.restart ~node:0;
   (* Run past node 0's next 3s watchdog tick: the restarted node comes
      back a non-leader and is lowest-live, so its tick re-runs phase 1 —
      the takeover path that folds survivors' accepted instances through
@@ -134,7 +136,7 @@ let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
       (fun op ->
         Buffer.add_string buf (Types.render_op op);
         Buffer.add_char buf ';')
-      (cluster.Cluster.committed_ops ~node);
+      (cluster.Harness.w_instance.committed_ops ~node);
     Buffer.add_string buf "];"
   done;
   fnv1a (Buffer.contents buf)
@@ -146,6 +148,10 @@ let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
    Raft*; 2 and 12 also do under Raft*-PQL; every seed exercises
    MultiPaxos's [gathered]. *)
 let seeds = [ 2; 6; 12 ]
+
+(* The protocols with goldens.  Raft*-LL shares Raft*'s write path and
+   differs only in where reads are served. *)
+let protocols = Harness.[ Raft; Raft_star; Raft_pql; Mencius; Multipaxos ]
 
 (* Golden digests captured from the pre-rewrite tree (list accumulators,
    per-index commit scan, cancel-and-reschedule election timers).  The
@@ -206,14 +212,14 @@ let check_goldens ?batch_size ?batch_delay_us table () =
       List.iter
         (fun seed ->
           let name =
-            Printf.sprintf "%s/seed%d" (Cluster.protocol_name protocol) seed
+            Printf.sprintf "%s/seed%d" (Harness.protocol_name protocol) seed
           in
           let got = run_scenario ?batch_size ?batch_delay_us protocol seed in
           match List.assoc_opt name table with
           | Some want -> Alcotest.(check string) name want got
           | None -> Alcotest.failf "no golden for %s (got %s)" name got)
         seeds)
-    Cluster.all_protocols
+    protocols
 
 let test_goldens = check_goldens goldens
 
@@ -228,10 +234,10 @@ let test_batched_goldens =
 let test_batch1_identity () =
   List.iter
     (fun protocol ->
-      let name = Printf.sprintf "%s/seed2" (Cluster.protocol_name protocol) in
+      let name = Printf.sprintf "%s/seed2" (Harness.protocol_name protocol) in
       let got = run_scenario ~batch_size:1 ~batch_delay_us:2_000 protocol 2 in
       Alcotest.(check string) name (List.assoc name goldens) got)
-    Cluster.all_protocols
+    protocols
 
 let print_goldens () =
   let seeds =
@@ -251,22 +257,22 @@ let print_goldens () =
     (fun protocol ->
       List.iter
         (fun seed ->
-          Printf.eprintf "RUN %s/seed%d\n%!" (Cluster.protocol_name protocol) seed;
+          Printf.eprintf "RUN %s/seed%d\n%!" (Harness.protocol_name protocol) seed;
           Printf.printf "    (\"%s/seed%d\", \"%s\");\n"
-            (Cluster.protocol_name protocol)
+            (Harness.protocol_name protocol)
             seed
             (run_scenario ~batch_size ~batch_delay_us protocol seed))
         seeds)
-    Cluster.all_protocols
+    protocols
 
 (* Determinism across repeated in-process runs: the digest depends only
    on (protocol, seed), not on allocation history or prior runs. *)
 let determinism =
   QCheck.Test.make ~count:8 ~name:"scenario digest is deterministic"
     QCheck.(
-      pair (int_range 0 (List.length Cluster.all_protocols - 1)) (int_range 1 500))
+      pair (int_range 0 (List.length protocols - 1)) (int_range 1 500))
     (fun (pi, seed) ->
-      let protocol = List.nth Cluster.all_protocols pi in
+      let protocol = List.nth protocols pi in
       String.equal (run_scenario protocol seed) (run_scenario protocol seed))
 
 let () =

@@ -124,14 +124,40 @@ let test_harness_runs_all_protocols () =
       Alcotest.(check int)
         (Harness.protocol_name proto ^ " consistent")
         0 r.Harness.consistency_violations)
-    [
-      Harness.Raft;
-      Harness.Raft_star;
-      Harness.Raft_ll;
-      Harness.Raft_pql;
-      Harness.Mencius;
-      Harness.Multipaxos;
-    ]
+    Harness.all_protocols
+
+(* One spelling table serves every tool: each display and CLI name parses
+   back to its protocol, as does every spelling the tools accepted before
+   they shared the table. *)
+let test_protocol_spellings () =
+  let parses s p =
+    Alcotest.(check bool) s true (Harness.protocol_of_name s = Some p)
+  in
+  List.iter
+    (fun p ->
+      parses (String.lowercase_ascii (Harness.protocol_name p)) p;
+      parses (Harness.protocol_name p) p;
+      parses (Harness.cli_name p) p)
+    Harness.all_protocols;
+  List.iter
+    (fun (s, p) -> parses s p)
+    Harness.
+      [
+        ("raft", Raft);
+        ("raft-star", Raft_star);
+        ("raft*", Raft_star);
+        ("raft-ll", Raft_ll);
+        ("raft-pql", Raft_pql);
+        ("raft*-pql", Raft_pql);
+        ("pql", Raft_pql);
+        ("mencius", Mencius);
+        ("raft*-mencius", Mencius);
+        ("multipaxos", Multipaxos);
+      ];
+  Alcotest.(check int) "every constructor listed" 6
+    (List.length Harness.all_protocols);
+  Alcotest.(check bool) "unknown refused" true
+    (Harness.protocol_of_name "paxos" = None)
 
 let test_harness_deterministic () =
   let r1 = Harness.run (quick_cfg Harness.Raft_star) in
@@ -334,6 +360,7 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "all protocols" `Slow test_harness_runs_all_protocols;
+          Alcotest.test_case "protocol spellings" `Quick test_protocol_spellings;
           Alcotest.test_case "deterministic" `Quick test_harness_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_harness_seed_changes_run;
           Alcotest.test_case "pql read advantage" `Slow test_pql_beats_raft_on_reads;

@@ -7,7 +7,7 @@
    counterexample schedule and demands identical output. *)
 
 module MC = Raftpax_mcheck
-module Cluster = Raftpax_nemesis.Cluster
+module Harness = Raftpax_kvstore.Harness
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -36,7 +36,7 @@ let steady_case proto () = assert_clean (check ("steady-" ^ proto))
 let raft_star_tiny_case () =
   let sc =
     {
-      (MC.Scenario.steady Cluster.Raft_star) with
+      (MC.Scenario.steady Harness.Raft_star) with
       MC.Model.sc_name = "raft-star-tiny";
       sc_ops = [ Raftpax_consensus.Types.Put { key = 11; size = 8; write_id = 1 } ];
       sc_targets = [ 0 ];
@@ -154,11 +154,11 @@ let steady_batched_case proto () =
    unbatched scope's verdict triple. *)
 let batched_equivalence_case () =
   let plain =
-    MC.Checker.check ~max_states:2_000_000 (MC.Scenario.steady Cluster.Multipaxos)
+    MC.Checker.check ~max_states:2_000_000 (MC.Scenario.steady Harness.Multipaxos)
   in
   let batched =
     MC.Checker.check ~max_states:2_000_000
-      (MC.Scenario.steady_batched Cluster.Multipaxos)
+      (MC.Scenario.steady_batched Harness.Multipaxos)
   in
   assert_clean plain;
   assert_clean batched;
@@ -181,6 +181,96 @@ let crash_batched_case proto () =
   | None -> ());
   Alcotest.(check bool) "goal reached" true r.r_goal_reached
 
+(* Exploration counts pinned per scope: any change to how a scenario's
+   config, batching or symmetry reaches the runtimes shows up here as a
+   different (states, transitions) pair even when every verdict stays
+   clean.  Together the scopes cover the Raft det_params path, the
+   Mencius and MultiPaxos mutation configs, [batchify] and the
+   follower-swap quotient. *)
+let pinned_counts =
+  [
+    ("steady-raft-batched", 556, 1134);
+    ("steady-raft*-batched", 556, 1134);
+    ("steady-raft*-mencius-batched", 501, 1079);
+    ("steady-multipaxos-batched", 187, 400);
+    ("steady-multipaxos", 2310, 5688);
+    ("steady-sym-raft-batched", 296, 589);
+    ("steady-sym-multipaxos-batched", 120, 232);
+    ("mencius-slot-reuse-clean", 708, 1616);
+    ("mp-takeover", 30, 66);
+    ("mp-takeover-clean", 1256, 2824);
+  ]
+
+let pinned_counts_case () =
+  List.iter
+    (fun (name, states, transitions) ->
+      let r = check name in
+      Alcotest.(check (pair int int))
+        (name ^ " (states, transitions)")
+        (states, transitions) (r.r_states, r.r_transitions))
+    pinned_counts
+
+(* Scope names are an interface: tools and benchmarks resolve scopes by
+   name, so the registry must list exactly these, every one must resolve,
+   and the Raft*-LL spellings must not (leases are out of mcheck scope). *)
+let scope_names =
+  [
+    "steady-raft";
+    "steady-raft*";
+    "steady-raft*-pql";
+    "steady-raft*-mencius";
+    "steady-multipaxos";
+    "steady-sym-raft";
+    "steady-sym-raft*";
+    "steady-sym-raft*-pql";
+    "steady-sym-multipaxos";
+    "steady-raft-batched";
+    "steady-raft*-batched";
+    "steady-raft*-pql-batched";
+    "steady-raft*-mencius-batched";
+    "steady-multipaxos-batched";
+    "steady-sym-raft-batched";
+    "steady-sym-raft*-batched";
+    "steady-sym-raft*-pql-batched";
+    "steady-sym-multipaxos-batched";
+    "crash-raft";
+    "crash-raft*";
+    "crash-raft*-pql";
+    "crash-raft*-mencius";
+    "crash-multipaxos";
+    "crash-raft-batched";
+    "crash-raft*-batched";
+    "crash-raft*-pql-batched";
+    "crash-raft*-mencius-batched";
+    "crash-multipaxos-batched";
+    "mencius-slot-reuse";
+    "mencius-slot-reuse-clean";
+    "mp-takeover";
+    "mp-takeover-clean";
+    "refine-raft-star";
+  ]
+
+let scope_names_case () =
+  Alcotest.(check (list string)) "registry" scope_names MC.Scenario.names;
+  List.iter
+    (fun name ->
+      match MC.Scenario.by_name name with
+      | Some sc -> Alcotest.(check string) name name sc.MC.Model.sc_name
+      | None -> Alcotest.failf "%s does not resolve" name)
+    scope_names;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " refused") true
+        (MC.Scenario.by_name name = None))
+    [
+      "steady-raft*-ll";
+      "steady-raft-ll";
+      "steady-sym-raft*-ll";
+      "crash-raft*-ll";
+      "steady-raft*-ll-batched";
+      "steady-sym-raft*-mencius";
+    ]
+
 let refinement_case () =
   let r = MC.Refine.check () in
   (match r.r_failure with
@@ -199,7 +289,7 @@ let nemesis_sanitizer_case () =
       let cfg = Nemesis.config protocol ~seed:4242 ~chaos_steps:10 in
       let r = Nemesis.run cfg in
       if not r.Nemesis.ok then Alcotest.failf "%a" Nemesis.pp_report r)
-    [ Cluster.Raft_star; Cluster.Mencius; Cluster.Multipaxos ]
+    [ Harness.Raft_star; Harness.Mencius; Harness.Multipaxos ]
 
 let () =
   Alcotest.run "mcheck"
@@ -218,18 +308,18 @@ let () =
       ( "symmetry",
         [
           Alcotest.test_case "raft follower-swap quotient" `Quick
-            (symmetry_case Cluster.Raft);
+            (symmetry_case Harness.Raft);
           Alcotest.test_case "multipaxos follower-swap quotient" `Quick
-            (symmetry_case Cluster.Multipaxos);
+            (symmetry_case Harness.Multipaxos);
           Alcotest.test_case "raft-star follower-swap quotient" `Slow
-            (symmetry_case Cluster.Raft_star);
+            (symmetry_case Harness.Raft_star);
           Alcotest.test_case "raft-pql follower-swap quotient" `Slow
-            (symmetry_case Cluster.Raft_pql);
+            (symmetry_case Harness.Raft_pql);
           Alcotest.test_case "multipaxos batched follower-swap quotient"
             `Quick
-            (symmetry_batched_case Cluster.Multipaxos);
+            (symmetry_batched_case Harness.Multipaxos);
           Alcotest.test_case "raft batched follower-swap quotient" `Slow
-            (symmetry_batched_case Cluster.Raft);
+            (symmetry_batched_case Harness.Raft);
         ] );
       ( "mutants",
         [
@@ -248,17 +338,22 @@ let () =
       ( "batching",
         [
           Alcotest.test_case "batched steady raft exhaustive" `Quick
-            (steady_batched_case Cluster.Raft);
+            (steady_batched_case Harness.Raft);
           Alcotest.test_case "batched steady multipaxos exhaustive" `Quick
-            (steady_batched_case Cluster.Multipaxos);
+            (steady_batched_case Harness.Multipaxos);
           Alcotest.test_case "batched steady mencius exhaustive" `Quick
-            (steady_batched_case Cluster.Mencius);
+            (steady_batched_case Harness.Mencius);
           Alcotest.test_case "batched steady raft-pql exhaustive" `Slow
-            (steady_batched_case Cluster.Raft_pql);
+            (steady_batched_case Harness.Raft_pql);
           Alcotest.test_case "batched vs plain multipaxos verdicts" `Quick
             batched_equivalence_case;
           Alcotest.test_case "batched crash multipaxos hunt" `Slow
-            (crash_batched_case Cluster.Multipaxos);
+            (crash_batched_case Harness.Multipaxos);
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "exploration counts" `Quick pinned_counts_case;
+          Alcotest.test_case "scope names" `Quick scope_names_case;
         ] );
       ( "refinement",
         [ Alcotest.test_case "raft-star refines multipaxos" `Slow refinement_case ] );

@@ -5,6 +5,7 @@
    machinery works at all under `dune runtest`. *)
 
 module Driver = Raftpax_netshell.Driver
+module Harness = Raftpax_kvstore.Harness
 
 let test_loopback_demo () =
   let r =
@@ -15,8 +16,14 @@ let test_loopback_demo () =
   Alcotest.(check bool) "completed >= 60" true (r.Driver.d_completed >= 60);
   Alcotest.(check int) "three snapshots" 3 (Array.length r.Driver.d_snapshots)
 
-let test_crosscheck () =
-  let r = Driver.crosscheck ~protocol_name:"multipaxos" ~n:3 ~ops:30 ~seed:5 in
+(* Every protocol's message projection crosses a real socket: the same
+   command stream through the network and the simulator must leave
+   identical applied state. *)
+let test_crosscheck protocol () =
+  let r =
+    Driver.crosscheck ~protocol_name:(Harness.cli_name protocol) ~n:3 ~ops:30
+      ~seed:5
+  in
   Alcotest.(check bool)
     (Printf.sprintf "net %s = sim %s" r.Driver.c_net_digest r.Driver.c_sim_digest)
     true r.Driver.c_ok
@@ -66,18 +73,37 @@ let test_unknown_subcommand () =
       "mcheck"; "topology"; "lint"; "net";
     ]
 
+(* Every entry point parses protocols through one spelling table: a
+   name the tools print parses back, and the chaos matrix still refuses
+   Raft*-LL. *)
+let test_protocol_spellings () =
+  let code, err =
+    run_capture "simulate 'Raft*-PQL' --duration 1 --clients 1 >/dev/null"
+  in
+  Alcotest.(check int) ("simulate Raft*-PQL: " ^ err) 0 code;
+  let code, err = run_capture "nemesis raft-ll --seeds 1 >/dev/null" in
+  Alcotest.(check int) "nemesis raft-ll refused" 2 code;
+  Alcotest.(check bool) "names the protocol" true
+    (contains ~sub:"unknown protocol \"raft-ll\"" err)
+
 let () =
   Alcotest.run "net_harness"
     [
       ( "loopback",
         [
           Alcotest.test_case "3-node raft demo" `Quick test_loopback_demo;
-          Alcotest.test_case "multipaxos sim-vs-net crosscheck" `Quick
-            test_crosscheck;
-        ] );
+        ]
+        @ List.map
+            (fun p ->
+              Alcotest.test_case
+                (Harness.cli_name p ^ " sim-vs-net crosscheck")
+                `Quick (test_crosscheck p))
+            Harness.all_protocols );
       ( "cli",
         [
           Alcotest.test_case "unknown subcommand fails loudly" `Quick
             test_unknown_subcommand;
+          Alcotest.test_case "one protocol spelling table" `Quick
+            test_protocol_spellings;
         ] );
     ]

@@ -3,8 +3,8 @@
    Unlike test_lint.ml / test_perflint.ml, the fixtures are whole
    miniature corpora: lint_fixtures/parlint_ok is a clean tree carrying
    one suppressed site per rule, and lint_fixtures/parlint_broken is the
-   same tree with one deliberate parity violation per rule (two for the
-   two-obligation rules).  File roles are detected by path segment, so
+   same tree with one deliberate parity violation per rule obligation it
+   exercises.  File roles are detected by path segment, so
    the corpora exercise exactly the code paths the real tree does. *)
 
 module Parlint = Raftpax_lint.Parlint
@@ -60,7 +60,7 @@ let test_ok_corpus () =
 let broken = lazy (corpus "parlint_broken")
 
 let test_broken_total () =
-  Alcotest.(check int) "total findings" 7 (List.length (Lazy.force broken))
+  Alcotest.(check int) "total findings" 8 (List.length (Lazy.force broken))
 
 let test_broken_wire () =
   let fs = Lazy.force broken in
@@ -92,11 +92,13 @@ let test_broken_probe () =
 
 let test_broken_scenario () =
   let fs = Lazy.force broken in
-  (* Two obligations: every scenario family batched, every harness
-     protocol facing the chaos matrix. *)
-  check_rule_count ~rule:"scenario-parity" ~expect:2 fs;
+  (* Three obligations: every scenario family batched, every protocol
+     constructor in the chaos list declared beside the type, and the
+     chaos test iterating that list. *)
+  check_rule_count ~rule:"scenario-parity" ~expect:3 fs;
   check_mentions ~sub:"crash_batched" fs;
-  check_mentions ~sub:"Raft_ll" fs
+  check_mentions ~sub:"protocol Raft_ll is missing from chaos_protocols" fs;
+  check_mentions ~sub:"the chaos test iterates neither chaos_protocols" fs
 
 (* --- self-gating, parse errors, plumbing --- *)
 

@@ -59,7 +59,7 @@ let test_harness_determinism () =
     [ H.Raft_pql; H.Mencius; H.Multipaxos ]
 
 let test_nemesis_determinism () =
-  let cfg = N.Nemesis.config ~chaos_steps:5 ~clients:2 N.Cluster.Raft ~seed:11 in
+  let cfg = N.Nemesis.config ~chaos_steps:5 ~clients:2 H.Raft ~seed:11 in
   let a = N.Nemesis.run cfg in
   let b = N.Nemesis.run cfg in
   Alcotest.(check string)
