@@ -429,21 +429,24 @@ let ablation_lease_duration () =
         List.mapi (fun i site -> { Sim.Net.id = i; site }) Topology.sites
       in
       let net = Sim.Net.create engine ~nodes in
-      let cfg = { (Raftpax_consensus.Raft.raft_pql ~leader:0 ()) with params } in
-      let t = Raftpax_consensus.Raft.create cfg net in
-      Raftpax_consensus.Raft.start t;
+      let w =
+        H.make_wired ~override:{ params; mutant = false } H.Raft_pql net
+          ~leader:0
+      in
       (* steady state, then crash Seoul (a lease holder) and immediately
          issue a write: it stalls until Seoul's lease lapses *)
-      Raftpax_consensus.Raft.submit t ~node:0
-        (Raftpax_consensus.Types.Put { key = 1; size = 8; write_id = 1 })
-        (fun _ -> ());
+      ignore
+        (w.w_instance.submit ~node:0
+           (Raftpax_consensus.Types.Put { key = 1; size = 8; write_id = 1 })
+           (fun _ -> ()));
       Sim.Engine.run engine ~until:3_000_000;
-      Raftpax_consensus.Raft.crash t ~node:4;
+      w.crash ~node:4;
       let stall = ref 0 in
       let t0 = Sim.Engine.now engine in
-      Raftpax_consensus.Raft.submit t ~node:0
-        (Raftpax_consensus.Types.Put { key = 1; size = 8; write_id = 2 })
-        (fun _ -> stall := Sim.Engine.now engine - t0);
+      ignore
+        (w.w_instance.submit ~node:0
+           (Raftpax_consensus.Types.Put { key = 1; size = 8; write_id = 2 })
+           (fun _ -> stall := Sim.Engine.now engine - t0));
       Sim.Engine.run engine ~until:(3_000_000 + (duration_ms * 1000) + 5_000_000);
       Fmt.pr "  lease %5dms renew %5dms: post-crash write stall %ams@."
         duration_ms renew_ms pp_ms !stall)
@@ -461,20 +464,22 @@ let ablation_pipeline_window () =
         List.mapi (fun i site -> { Sim.Net.id = i; site }) Topology.sites
       in
       let net = Sim.Net.create engine ~nodes in
-      let cfg = { (Raftpax_consensus.Raft.raft_star ~leader:0 ()) with params } in
-      let t = Raftpax_consensus.Raft.create cfg net in
-      Raftpax_consensus.Raft.start t;
+      let w =
+        H.make_wired ~override:{ params; mutant = false } H.Raft_star net
+          ~leader:0
+      in
       let lat = Stats.create () in
       let rec client i =
         if Sim.Engine.now engine < 5_000_000 then begin
           let t0 = Sim.Engine.now engine in
-          Raftpax_consensus.Raft.submit t ~node:0
-            (Raftpax_consensus.Types.Put { key = i; size = 8; write_id = i })
-            (fun _ ->
-              Stats.record lat
-                ~latency_us:(Sim.Engine.now engine - t0)
-                ~at_us:(Sim.Engine.now engine);
-              client (i + 1))
+          ignore
+            (w.w_instance.submit ~node:0
+               (Raftpax_consensus.Types.Put { key = i; size = 8; write_id = i })
+               (fun _ ->
+                 Stats.record lat
+                   ~latency_us:(Sim.Engine.now engine - t0)
+                   ~at_us:(Sim.Engine.now engine);
+                 client (i + 1)))
         end
       in
       for _ = 1 to 10 do

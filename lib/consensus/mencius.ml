@@ -39,14 +39,11 @@ type revocation = { seen : bool array; mutable found : Types.cmd option }
    double-count toward the majority *)
 
 type msg =
-  | MAppend of { from : int; inst : int; cmd : Types.cmd }
-  | MAck of { from : int; inst : int }
   | MSkip of { from : int; first : int; upto : int }
       (** [from]'s turns in [[first, upto)] are no-ops.  The range is
           explicit — "every slot of mine you haven't seen" would be
           unsound for a receiver that missed an append while down or
           partitioned. *)
-  | MCommit of { inst : int }
   | MRevoke of { from : int; inst : int }
       (** simplified recovery: the designated revoker polls the cluster
           about a dead replica's slot *)
@@ -63,16 +60,17 @@ type msg =
   | MAppendMulti of {
       from : int;
       items : (int * Types.cmd) list;
-          (** one flushed batch of the sender's own turns — a single
-            frame, CPU charge and ack instead of one each *)
+          (** one or more slots — a flushed batch of the sender's own
+            turns, or a single recovery replay, revocation re-proposal or
+            retransmit — under a single frame, CPU charge and ack *)
     }
   | MAckMulti of { from : int; insts : int list }
   | MCommitMulti of { insts : int list }
   | Complete of { cmd_id : int; reply : Types.reply }
 
 type server_probes = {
-  pr_appends : Metrics.counter;  (** MAppend messages sent *)
-  pr_acks : Metrics.counter;  (** MAck replies sent *)
+  pr_appends : Metrics.counter;  (** MAppendMulti messages sent *)
+  pr_acks : Metrics.counter;  (** MAckMulti replies sent *)
   pr_skips_announced : Metrics.counter;  (** MSkip broadcasts *)
   pr_slots_skipped : Metrics.counter;  (** slots locally decided as Skip *)
   pr_commits : Metrics.counter;  (** slots past the commit frontier *)
@@ -82,7 +80,7 @@ type server_probes = {
   pr_catchups : Metrics.counter;  (** MCatchup requests sent *)
   pr_retransmits : Metrics.counter;  (** own-append re-broadcasts *)
   pr_batch_cmds : Metrics.histogram;
-      (** commands per flushed own-turn batch; batched path only *)
+      (** commands per flushed own-turn batch *)
 }
 
 let make_probes m ~node =
@@ -122,8 +120,8 @@ type server = {
   mutable waiting : (int * Types.cmd) list;  (** (slot, cmd) awaiting reply *)
   mutable recovering : bool;
   mutable buffered : Types.cmd list;  (** submissions queued during recovery *)
-  (* command batching (batch_size > 1 only): own turns claimed but whose
-     MAppend broadcast is held for the current batch *)
+  (* command batching: own turns claimed but whose MAppendMulti
+     broadcast is held for the current batch *)
   mutable pending_batch : (int * Types.cmd) list;  (** reversed *)
   mutable pending_count : int;
   mutable flush_pending : bool;  (** a flush timer is armed *)
@@ -157,11 +155,10 @@ let majority t = (t.n / 2) + 1
 let p t = t.config.params
 
 let msg_size t = function
-  | MAppend { cmd; _ } -> (p t).msg_header_bytes + Types.op_size cmd.Types.op
   | MRevStatus { value; _ } ->
       (p t).msg_header_bytes
       + (match value with Some c -> Types.op_size c.Types.op | None -> 0)
-  | MAck _ | MSkip _ | MCommit _ | MRevoke _ | MSkipForce _ | MCatchup _ ->
+  | MSkip _ | MRevoke _ | MSkipForce _ | MCatchup _ ->
       (p t).msg_header_bytes
   | MState { slots } ->
       (p t).msg_header_bytes
@@ -172,12 +169,10 @@ let msg_size t = function
             + match cmd with Some c -> Types.op_size c.Types.op | None -> 0)
           0 slots
   | MAppendMulti { items; _ } ->
-      (p t).msg_header_bytes
-      + List.fold_left
-          (fun acc (_, c) -> acc + 8 + Types.op_size c.Types.op)
-          0 items
+      (p t).msg_header_bytes + Types.ids_bytes items
+      + List.fold_left (fun acc (_, c) -> acc + Types.op_size c.Types.op) 0 items
   | MAckMulti { insts; _ } | MCommitMulti { insts } ->
-      (p t).msg_header_bytes + (8 * List.length insts)
+      (p t).msg_header_bytes + Types.ids_bytes insts
   | Complete _ -> (p t).reply_bytes
 
 (* ---- slot bookkeeping ---- *)
@@ -238,13 +233,8 @@ let conflicting (cmd : Types.cmd) = Types.key_of cmd.op = hot_key
    never include Mencius, and the renaming here only keeps the interface
    uniform with the other protocols. *)
 let render_msg ?(rename = Fun.id) = function
-  | MAppend { from; inst; cmd } ->
-      Printf.sprintf "MAppend(f%d i%d %s)" (rename from) inst
-        (Types.render_cmd ~rename cmd)
-  | MAck { from; inst } -> Printf.sprintf "MAck(f%d i%d)" (rename from) inst
   | MSkip { from; first; upto } ->
       Printf.sprintf "MSkip(f%d %d..%d)" (rename from) first upto
-  | MCommit { inst } -> Printf.sprintf "MCommit(i%d)" inst
   | MRevoke { from; inst } ->
       Printf.sprintf "MRevoke(f%d i%d)" (rename from) inst
   | MRevStatus { from; inst; value } ->
@@ -432,51 +422,9 @@ and handle t srv msg =
               ~now:(Engine.now t.engine);
             k reply
         | None -> ())
-    | MAppend { from; inst; cmd } ->
-        Cpu.exec srv.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
-            if not srv.down then begin
-              ensure srv inst;
-              let refused =
-                from = owner t inst && Hashtbl.mem srv.promised inst
-              in
-              (match slot srv inst with
-              | Unknown when not refused -> set_value srv inst cmd
-              | _ -> ());
-              skip_own_turns t srv ~upto:inst;
-              (* Ack only if we actually hold this value: a promised or
-                 force-skipped slot must not count toward the sender's
-                 majority, or it could commit a value a revocation
-                 concurrently decided to skip. *)
-              (match slot srv inst with
-              | Value held when held.Types.id = cmd.Types.id ->
-                  Metrics.inc srv.pr.pr_acks;
-                  send t ~src:srv.id ~dst:from (MAck { from = srv.id; inst })
-              | _ -> ());
-              advance_frontiers t srv
-            end)
-    | MAck { from; inst } -> (
-        match Hashtbl.find_opt srv.acks inst with
-        | None -> ()
-        | Some acked ->
-            acked.(from) <- true;
-            let count =
-              Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
-            in
-            if count + 1 >= majority t && not (is_committed srv inst) then begin
-              ensure srv inst;
-              Vec.set srv.committed inst true;
-              broadcast t srv (MCommit { inst });
-              advance_frontiers t srv
-            end)
     | MSkip { from; first; upto } ->
         if apply_skips t srv ~who:from ~start:first ~upto then
           advance_frontiers t srv
-    | MCommit { inst } ->
-        ensure srv inst;
-        (* The commit flag may race ahead of the append carrying the value;
-           the frontier waits for both. *)
-        Vec.set srv.committed inst true;
-        advance_frontiers t srv
     | MRevoke { from; inst } ->
         ensure srv inst;
         Hashtbl.replace srv.promised inst ();
@@ -510,7 +458,8 @@ and handle t srv msg =
                   if slot srv inst = Unknown then set_value srv inst cmd;
                   Hashtbl.replace srv.acks inst (Array.make t.n false);
                   Metrics.add srv.pr.pr_appends (t.n - 1);
-                  broadcast t srv (MAppend { from = srv.id; inst; cmd });
+                  broadcast t srv
+                    (MAppendMulti { from = srv.id; items = [ (inst, cmd) ] });
                   advance_frontiers t srv
               | None ->
                   (* Nobody in a majority saw it, and their [MRevoke]
@@ -597,6 +546,10 @@ and handle t srv msg =
                   (match slot srv inst with
                   | Unknown when not refused -> set_value srv inst cmd
                   | _ -> ());
+                  (* Ack only if we actually hold this value: a promised or
+                     force-skipped slot must not count toward the sender's
+                     majority, or it could commit a value a revocation
+                     concurrently decided to skip. *)
                   match slot srv inst with
                   | Value held_cmd when held_cmd.Types.id = cmd.Types.id ->
                       held := inst :: !held
@@ -636,6 +589,8 @@ and handle t srv msg =
           advance_frontiers t srv
         end
     | MCommitMulti { insts } ->
+        (* The commit flag may race ahead of the append carrying the value;
+           the frontier waits for both. *)
         List.iter
           (fun inst ->
             ensure srv inst;
@@ -663,12 +618,13 @@ and watchdog t srv =
           | Value cmd when owner t stuck = srv.id && not (is_committed srv stuck)
             ->
               (* Our own append lost its acks in transit: retransmit.
-                 [MAck] replies dedupe through the per-sender flag array. *)
+                 Acks dedupe through the per-sender flag array. *)
               if not (Hashtbl.mem srv.acks stuck) then
                 Hashtbl.replace srv.acks stuck (Array.make t.n false);
               Metrics.inc srv.pr.pr_retransmits;
               Metrics.add srv.pr.pr_appends (t.n - 1);
-              broadcast t srv (MAppend { from = srv.id; inst = stuck; cmd })
+              broadcast t srv
+                (MAppendMulti { from = srv.id; items = [ (stuck, cmd) ] })
           | _ -> ());
           if owner t stuck <> srv.id && srv.id = lowest_live t then begin
             (* Poll the cluster about the blocking slot before deciding. *)
@@ -722,12 +678,11 @@ and claim_own_slot t srv (cmd : Types.cmd) =
     ~now:(Engine.now t.engine);
   inst
 
+(* Recovery replay: claim and broadcast one buffered command on its own,
+   outside the accumulator. *)
 and start_own_slot t srv (cmd : Types.cmd) =
   let inst = claim_own_slot t srv cmd in
-  Metrics.add srv.pr.pr_appends (t.n - 1);
-  broadcast t srv (MAppend { from = srv.id; inst; cmd });
-  if t.n = 1 then Vec.set srv.committed inst true;
-  advance_frontiers t srv
+  broadcast_appends t srv [ (inst, cmd) ]
 
 (* Release the accumulated batch: one MAppendMulti broadcast carries
    every held (turn, command) pair. *)
@@ -736,6 +691,9 @@ and flush_appends t srv =
   Metrics.observe srv.pr.pr_batch_cmds srv.pending_count;
   srv.pending_batch <- [];
   srv.pending_count <- 0;
+  broadcast_appends t srv items
+
+and broadcast_appends t srv items =
   Metrics.add srv.pr.pr_appends (t.n - 1);
   broadcast t srv (MAppendMulti { from = srv.id; items });
   if t.n = 1 then
@@ -795,10 +753,9 @@ let submit_cmd t srv (cmd : Types.cmd) =
   Cpu.exec srv.cpu ~cost_us:(p t).cpu_leader_op_us (fun () ->
       if not srv.down then
         if srv.recovering then srv.buffered <- cmd :: srv.buffered
-        else if (p t).batch_size <= 1 then start_own_slot t srv cmd
         else begin
-          (* Batched: the turn is claimed now; only its broadcast is held
-             back until the batch flushes. *)
+          (* The turn is claimed now; only its broadcast is held until the
+             batch flushes (at batch_size 1, right here). *)
           let inst = claim_own_slot t srv cmd in
           srv.pending_batch <- (inst, cmd) :: srv.pending_batch;
           srv.pending_count <- srv.pending_count + 1;
@@ -934,8 +891,9 @@ let dump_state ?(rename = Fun.id) t ~node =
   add "|bf:%s"
     (String.concat ","
        (List.map (fun (c : Types.cmd) -> string_of_int c.id) srv.buffered));
-  (* Batched runs only: the held batch is real protocol state the checker
-     must distinguish.  Unbatched fingerprints stay byte-identical. *)
+  (* The held batch is real protocol state the checker must distinguish.
+     At batch_size 1 it is empty between events, and leaving it out keeps
+     those fingerprints unchanged. *)
   if (p t).batch_size > 1 then
     add "|pb:%s"
       (String.concat ";"

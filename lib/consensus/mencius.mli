@@ -42,11 +42,8 @@ val default_config : config
 (** {1 Wire messages} — exposed for the {!Raftpax_netcore} codec. *)
 
 type msg =
-  | MAppend of { from : int; inst : int; cmd : Types.cmd }
-  | MAck of { from : int; inst : int }
   | MSkip of { from : int; first : int; upto : int }
       (** [from]'s turns in [[first, upto)] are no-ops *)
-  | MCommit of { inst : int }
   | MRevoke of { from : int; inst : int }
   | MRevStatus of { from : int; inst : int; value : Types.cmd option }
   | MSkipForce of { inst : int }
@@ -59,10 +56,14 @@ type msg =
   | MAppendMulti of {
       from : int;
       items : (int * Types.cmd) list;
-          (** one flushed batch of the sender's own turns *)
+          (** one or more slots: a flushed batch of the sender's own
+              turns (a batch of one at [batch_size = 1]), or a single
+              recovery replay, revocation re-proposal or retransmit *)
     }
   | MAckMulti of { from : int; insts : int list }
+      (** the one or more slots the sender holds the value of *)
   | MCommitMulti of { insts : int list }
+      (** one or more newly committed slots *)
   | Complete of { cmd_id : int; reply : Types.reply }
 
 type t

@@ -39,15 +39,13 @@ type msg =
       accepted : (int * int * Types.cmd option) list;
           (** (instance, ballot, value) for every accepted instance *)
     }
-  | Accept of { bal : int; from : int; inst : int; cmd : Types.cmd option }
-  | AcceptOk of { bal : int; from : int; inst : int }
-  | Learn of { inst : int; cmd : Types.cmd option }
   | AcceptMulti of {
       bal : int;
       from : int;
       items : (int * Types.cmd option) list;
-          (** one flushed leader batch: (instance, value) per command —
-            a single frame, CPU charge and ack instead of one each *)
+          (** one or more instances — a flushed leader batch, or a single
+            re-proposal or retransmit: (instance, value) each, under a
+            single frame, CPU charge and ack *)
     }
   | AcceptOkMulti of { bal : int; from : int; insts : int list }
   | LearnMulti of { items : (int * Types.cmd option) list }
@@ -58,13 +56,12 @@ type server_probes = {
   pr_elections : Metrics.counter;  (** phase-1 rounds started *)
   pr_leader_wins : Metrics.counter;
   pr_ballot_changes : Metrics.counter;
-  pr_accepts : Metrics.counter;  (** Accept broadcasts sent (per peer msg) *)
-  pr_acks : Metrics.counter;  (** AcceptOk replies sent *)
+  pr_accepts : Metrics.counter;  (** AcceptMulti sends (per peer msg) *)
+  pr_acks : Metrics.counter;  (** AcceptOkMulti replies sent *)
   pr_retransmits : Metrics.counter;  (** watchdog re-broadcasts of unchosen *)
   pr_forwards : Metrics.counter;
   pr_commits : Metrics.counter;  (** instances executed *)
-  pr_batch_cmds : Metrics.histogram;
-      (** commands per leader-side flush; batched path only *)
+  pr_batch_cmds : Metrics.histogram;  (** commands per leader-side flush *)
 }
 
 let make_probes m ~node =
@@ -99,8 +96,8 @@ type server = {
   proposed_cmds : (int, unit) Hashtbl.t;
       (** cmd ids this leader already assigned an instance; a duplicated
           [Forward] must not occupy a second instance *)
-  (* command batching (leader side, batch_size > 1 only): instances
-     assigned but whose Accept broadcast is held for the current batch *)
+  (* command batching (leader side): instances assigned but whose
+     AcceptMulti broadcast is held for the current batch *)
   mutable pending_batch : (int * Types.cmd option) list;  (** reversed *)
   mutable pending_count : int;
   mutable flush_pending : bool;  (** a flush timer is armed *)
@@ -130,16 +127,13 @@ let majority t = (t.n / 2) + 1
 let p t = t.config.params
 
 let msg_size t = function
-  | Prepare _ | AcceptOk _ -> (p t).msg_header_bytes
+  | Prepare _ -> (p t).msg_header_bytes
   | PrepareOk { accepted; _ } ->
       (p t).msg_header_bytes
       + List.fold_left
           (fun acc (_, _, c) ->
             acc + match c with Some c -> Types.op_size c.Types.op | None -> 8)
           0 accepted
-  | Accept { cmd; _ } | Learn { cmd; _ } -> (
-      (p t).msg_header_bytes
-      + match cmd with Some c -> Types.op_size c.Types.op | None -> 8)
   | AcceptMulti { items; _ } | LearnMulti { items } ->
       (p t).msg_header_bytes
       + List.fold_left
@@ -147,7 +141,7 @@ let msg_size t = function
             acc + match c with Some c -> Types.op_size c.Types.op | None -> 8)
           0 items
   | AcceptOkMulti { insts; _ } ->
-      (p t).msg_header_bytes + (8 * List.length insts)
+      (p t).msg_header_bytes + Types.ids_bytes insts
   | Forward cmd -> (p t).msg_header_bytes + Types.op_size cmd.Types.op
   | Complete _ -> (p t).reply_bytes
 
@@ -187,17 +181,6 @@ let render_msg ?(rename = Fun.id) ~n = function
                  (fun (i1, b1, _) (i2, b2, _) ->
                    if i1 <> i2 then Int.compare i1 i2 else Int.compare b1 b2)
                  accepted)))
-  | Accept { bal; from; inst; cmd } ->
-      Printf.sprintf "Accept(b%d f%d i%d %s)"
-        (rename_ballot rename ~n bal)
-        (rename from) inst
-        (Types.render_cmd_opt ~rename cmd)
-  | AcceptOk { bal; from; inst } ->
-      Printf.sprintf "AcceptOk(b%d f%d i%d)"
-        (rename_ballot rename ~n bal)
-        (rename from) inst
-  | Learn { inst; cmd } ->
-      Printf.sprintf "Learn(i%d %s)" inst (Types.render_cmd_opt ~rename cmd)
   | AcceptMulti { bal; from; items } ->
       Printf.sprintf "AcceptMulti(b%d f%d [%s])"
         (rename_ballot rename ~n bal)
@@ -283,8 +266,6 @@ and choose srv i cmd =
   end
   else false
 
-and mark_chosen t srv i cmd = if choose srv i cmd then execute t srv
-
 (* ---- phase 2 ---- *)
 
 and propose t srv (cmd : Types.cmd) =
@@ -302,29 +283,18 @@ and propose t srv (cmd : Types.cmd) =
         Hashtbl.replace srv.waiters i cmd;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
-        if (p t).batch_size <= 1 then begin
-          Metrics.add srv.pr.pr_accepts (t.n - 1);
-          broadcast t srv
-            (Accept
-               { bal = srv.ballot; from = srv.id; inst = i; cmd = Some cmd });
-          if t.n = 1 then begin
-            mark_chosen t srv i (Some cmd)
-          end
-        end
-        else begin
-          (* Batched: the instance is fully set up above; only its Accept
-             broadcast is held back until the batch flushes. *)
-          srv.pending_batch <- (i, Some cmd) :: srv.pending_batch;
-          srv.pending_count <- srv.pending_count + 1;
-          if srv.pending_count >= (p t).batch_size then flush_accepts t srv
-          else if not srv.flush_pending then begin
-            srv.flush_pending <- true;
-            Engine.schedule t.engine ~node:srv.id ~label:"flush"
-              ~delay:(max 1 (p t).batch_delay_us) (fun () ->
-                srv.flush_pending <- false;
-                if srv.is_leader && (not srv.down) && srv.pending_count > 0
-                then flush_accepts t srv)
-          end
+        (* The instance is fully set up above; only its broadcast is held
+           until the batch flushes (at batch_size 1, right here). *)
+        srv.pending_batch <- (i, Some cmd) :: srv.pending_batch;
+        srv.pending_count <- srv.pending_count + 1;
+        if srv.pending_count >= (p t).batch_size then flush_accepts t srv
+        else if not srv.flush_pending then begin
+          srv.flush_pending <- true;
+          Engine.schedule t.engine ~node:srv.id ~label:"flush"
+            ~delay:(max 1 (p t).batch_delay_us) (fun () ->
+              srv.flush_pending <- false;
+              if srv.is_leader && (not srv.down) && srv.pending_count > 0 then
+                flush_accepts t srv)
         end
       end
       else if not srv.down then begin
@@ -399,7 +369,7 @@ and become_leader t srv =
       Hashtbl.replace srv.accept_oks i (Array.make t.n false);
       Metrics.add srv.pr.pr_accepts (t.n - 1);
       broadcast t srv
-        (Accept { bal = srv.ballot; from = srv.id; inst = i; cmd = value })
+        (AcceptMulti { bal = srv.ballot; from = srv.id; items = [ (i, value) ] })
     end
   done
 
@@ -445,40 +415,6 @@ and handle t srv msg =
           if Hashtbl.length srv.prepare_oks + 1 >= majority t then
             become_leader t srv
         end
-    | Accept { bal; from; inst = i; cmd } ->
-        if bal >= srv.ballot then begin
-          if bal > srv.ballot then Metrics.inc srv.pr.pr_ballot_changes;
-          srv.ballot <- bal;
-          if from <> srv.id then srv.is_leader <- false;
-          srv.leader_hint <- from;
-          srv.last_leader_sign <- Engine.now t.engine;
-          Cpu.exec srv.cpu ~cost_us:(p t).cpu_follower_op_us (fun () ->
-              if not srv.down then begin
-                let it = inst srv i in
-                it.accepted_bal <- bal;
-                it.accepted_cmd <- Some cmd;
-                Metrics.inc srv.pr.pr_acks;
-                send t ~src:srv.id ~dst:from (AcceptOk { bal; from = srv.id; inst = i })
-              end)
-        end
-    | AcceptOk { bal; from; inst = i } ->
-        if bal = srv.ballot && srv.is_leader then begin
-          match Hashtbl.find_opt srv.accept_oks i with
-          | None -> ()
-          | Some acked ->
-              acked.(from) <- true;
-              let count =
-                Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 acked
-              in
-              if count + 1 >= majority t && not (inst srv i).chosen then begin
-                let cmd =
-                  match (inst srv i).accepted_cmd with Some c -> c | None -> None
-                in
-                mark_chosen t srv i cmd;
-                broadcast t srv (Learn { inst = i; cmd })
-              end
-        end
-    | Learn { inst = i; cmd } -> mark_chosen t srv i cmd
     | AcceptMulti { bal; from; items } ->
         if bal >= srv.ballot then begin
           if bal > srv.ballot then Metrics.inc srv.pr.pr_ballot_changes;
@@ -528,7 +464,7 @@ and handle t srv msg =
                   end)
             insts;
           if !newly <> [] then begin
-            (* One execute walk and one Learn broadcast per acked batch. *)
+            (* One execute walk and one LearnMulti broadcast per acked batch. *)
             execute t srv;
             broadcast t srv (LearnMulti { items = List.rev !newly })
           end
@@ -539,7 +475,7 @@ and handle t srv msg =
         if !any then execute t srv
 
 (* Leader-failure watchdog: lowest live replica takes over.  The same
-   tick is the leader's repair timer: an [Accept] or its [AcceptOk]s can
+   tick is the leader's repair timer: an [AcceptMulti] or its acks can
    be lost, leaving an instance unchosen forever and stalling [execute]
    at the gap, so the leader re-broadcasts every unchosen instance below
    its frontier (acceptors re-accept idempotently). *)
@@ -569,7 +505,8 @@ and watchdog t srv =
               Metrics.inc srv.pr.pr_retransmits;
               Metrics.add srv.pr.pr_accepts (t.n - 1);
               broadcast t srv
-                (Accept { bal = srv.ballot; from = srv.id; inst = i; cmd })
+                (AcceptMulti
+                   { bal = srv.ballot; from = srv.id; items = [ (i, cmd) ] })
             end
           done
         else if
@@ -790,8 +727,9 @@ let dump_state ?(rename = Fun.id) t ~node =
   tbl "wt" srv.waiters (fun (i, c) ->
       Printf.sprintf "%d:%s" i (Types.render_cmd ~rename c));
   tbl "pc" srv.proposed_cmds (fun (i, ()) -> string_of_int i);
-  (* Batched runs only: the held batch is real protocol state the checker
-     must distinguish.  Unbatched fingerprints stay byte-identical. *)
+  (* The held batch is real protocol state the checker must distinguish.
+     At batch_size 1 it is empty between events, and leaving it out keeps
+     those fingerprints unchanged. *)
   if (p t).batch_size > 1 then
     add "|pb:%s"
       (String.concat ";"

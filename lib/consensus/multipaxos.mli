@@ -34,17 +34,18 @@ type msg =
       accepted : (int * int * Types.cmd option) list;
           (** (instance, ballot, value) for every accepted instance *)
     }
-  | Accept of { bal : int; from : int; inst : int; cmd : Types.cmd option }
-  | AcceptOk of { bal : int; from : int; inst : int }
-  | Learn of { inst : int; cmd : Types.cmd option }
   | AcceptMulti of {
       bal : int;
       from : int;
       items : (int * Types.cmd option) list;
-          (** one flushed leader batch: (instance, value) per command *)
+          (** one or more instances, (instance, value) each: a flushed
+              leader batch (a batch of one at [batch_size = 1]), or a
+              single re-proposal or retransmit *)
     }
   | AcceptOkMulti of { bal : int; from : int; insts : int list }
+      (** the one or more instances an acceptor accepted *)
   | LearnMulti of { items : (int * Types.cmd option) list }
+      (** one or more newly chosen instances *)
   | Forward of Types.cmd
   | Complete of { cmd_id : int; reply : Types.reply }
 

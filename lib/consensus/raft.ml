@@ -53,8 +53,7 @@ type server_probes = {
   pr_local_reads : Metrics.counter;
   pr_lease_waits : Metrics.counter;
   pr_batch_cmds : Metrics.histogram;
-      (** commands per leader-side flush; observed only on the batched
-          path, so batch_size=1 telemetry is unchanged *)
+      (** commands per leader-side flush; all 1s at batch_size 1 *)
 }
 
 let make_probes m ~node =
@@ -158,12 +157,13 @@ type server = {
           attests the prefix.  Reset to [commit_index] when a first batch
           of a newer term arrives; extended only by batches that overlap
           it ([prev_idx <= verified_to]). *)
-  (* command batching (leader side, batch_size > 1 only) *)
+  (* command batching (leader side) *)
   mutable flush_to : int;
       (** replication tip: the highest log index released to
           {!send_batch}.  Entries above it are appended but still
-          accumulating into the current batch; with batching off the tip
-          is simply [last_index] and this field is ignored. *)
+          accumulating into the current batch; at batch_size 1 every
+          append flushes at once, so on a leader the tip is the log end
+          between events. *)
   mutable unflushed : int;  (** commands appended since the last flush *)
   mutable flush_pending : bool;  (** a flush timer is armed *)
   mutable election_timer : Engine.timer option;
@@ -261,12 +261,6 @@ let last_index srv = Vec.length srv.log - 1
 
 let term_at srv i =
   if i < 0 || i > last_index srv then -1 else (fst (Vec.get srv.log i)).Types.term
-
-(* The highest index replication may ship.  Batching holds appended
-   entries back until the batch flushes; unbatched, the tip is the log
-   end and the field plays no part. *)
-let repl_tip t srv =
-  if (p t).batch_size <= 1 then last_index srv else srv.flush_to
 
 let note_write srv idx (e : Types.entry) =
   match e.cmd with
@@ -371,7 +365,7 @@ and my_valid_grants t srv =
 
 and send_batch t srv peer =
   let next = srv.next_index.(peer) in
-  let tip = repl_tip t srv in
+  let tip = srv.flush_to in
   let entries =
     List.init
       (max 0 (tip - next + 1))
@@ -394,7 +388,7 @@ and send_batch t srv peer =
 
 and maybe_replicate t srv =
   if srv.role = Leader then begin
-    let tip = repl_tip t srv in
+    let tip = srv.flush_to in
     Array.iter
       (fun peer ->
         if
@@ -529,23 +523,20 @@ and append_cmd t srv (cmd : Types.cmd) =
         note_write srv (last_index srv) entry;
         Span.mark t.spans ~trace:cmd.id ~node:srv.id ~phase:"append"
           ~now:(Engine.now t.engine);
-        (if (p t).batch_size <= 1 then maybe_replicate t srv
-         else begin
-           srv.unflushed <- srv.unflushed + 1;
-           if srv.unflushed >= (p t).batch_size then flush_batch t srv
-           else if not srv.flush_pending then begin
-             (* Time bound on the accumulator: the timer is armed by the
-                batch's first command and left to fire (never cancelled);
-                a size-triggered flush just empties it early and the
-                firing degenerates to a no-op. *)
-             srv.flush_pending <- true;
-             Engine.schedule t.engine ~node:srv.id ~label:"flush"
-               ~delay:(max 1 (p t).batch_delay_us) (fun () ->
-                 srv.flush_pending <- false;
-                 if srv.role = Leader && (not srv.down) && srv.unflushed > 0
-                 then flush_batch t srv)
-           end
-         end);
+        srv.unflushed <- srv.unflushed + 1;
+        if srv.unflushed >= (p t).batch_size then flush_batch t srv
+        else if not srv.flush_pending then begin
+          (* Time bound on the accumulator: the timer is armed by the
+             batch's first command and left to fire (never cancelled);
+             a size-triggered flush just empties it early and the
+             firing degenerates to a no-op. *)
+          srv.flush_pending <- true;
+          Engine.schedule t.engine ~node:srv.id ~label:"flush"
+            ~delay:(max 1 (p t).batch_delay_us) (fun () ->
+              srv.flush_pending <- false;
+              if srv.role = Leader && (not srv.down) && srv.unflushed > 0 then
+                flush_batch t srv)
+        end;
         if t.n = 1 then begin
           srv.match_index.(srv.id) <- last_index srv;
           srv.commit_index <- last_index srv;
@@ -1283,8 +1274,10 @@ let dump_state ?(rename = Fun.id) t ~node =
     (String.concat ","
        (List.map string_of_int
           (sorted_ints (List.map fst srv.pending_reads))));
-  (* Batched runs only: the accumulator is real protocol state the
-     checker must distinguish.  Unbatched fingerprints stay identical. *)
+  (* The accumulator is real protocol state the checker must distinguish.
+     At batch_size 1 it is flushed between events (and a follower's stale
+     [flush_to] plays no part), so leaving it out keeps those
+     fingerprints unchanged. *)
   if (p t).batch_size > 1 then
     add "|fl:%d,%d,%b" srv.flush_to srv.unflushed srv.flush_pending;
   Buffer.contents buf

@@ -53,9 +53,9 @@ type params = {
       [@lint.allow "knob-threading" "Raft-LL lease-model constant"]
   batch_size : int;
       (** leader-side command batching: accumulate up to this many client
-          commands into one consensus instance / replication batch before
-          flushing.  1 disables batching entirely — the code path is then
-          byte-identical to the unbatched runtime. *)
+          commands into one replication batch before flushing.  1 makes
+          every batch a batch of one, flushed inside the submitting event,
+          which behaves exactly as unbatched replication. *)
   batch_delay_us : int;
       (** time bound on the accumulator: a partial batch flushes this many
           µs after its first command.  0 means flush only on [batch_size]. *)
@@ -106,3 +106,5 @@ let entry_bytes params e =
 let batch_bytes params entries =
   params.msg_header_bytes
   + List.fold_left (fun acc e -> acc + entry_bytes params e) 0 entries
+
+let ids_bytes = function [ _ ] -> 0 | l -> 8 * List.length l

@@ -44,9 +44,9 @@ type params = {
   lease_renew_us : int;  (** paper: 0.5 s *)
   batch_size : int;
       (** leader-side command batching: accumulate up to this many client
-          commands into one consensus instance / replication batch before
-          flushing.  1 disables batching — byte-identical to the
-          unbatched runtime. *)
+          commands into one replication batch before flushing.  1 makes
+          every batch a batch of one, flushed inside the submitting
+          event. *)
   batch_delay_us : int;
       (** time bound on the accumulator: a partial batch flushes this
           many µs after its first command.  0 = flush on size only. *)
@@ -56,6 +56,11 @@ val default_params : params
 
 val entry_bytes : params -> entry -> int
 val batch_bytes : params -> entry list -> int
+
+val ids_bytes : 'a list -> int
+(** Wire bytes for the instance ids a replicate/ack/commit message lists:
+    none for a single instance, whose id the header carries (a batch of
+    one costs what a per-instance message would), else 8 per id. *)
 
 (** {1 Canonical renderings}
 

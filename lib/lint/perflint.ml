@@ -111,6 +111,7 @@ let default_hot path name =
         "flush_batch";
         "flush_accepts";
         "flush_appends";
+        "broadcast_appends";
         "claim_own_slot";
       ]
   else if seg "sim" then

@@ -4,7 +4,9 @@
    protocol byte and a constructor tag.  New constructors append new tags
    (additive, existing encodings unchanged); changing an existing tag's
    layout means a version bump — the golden-vector test pins the
-   format. *)
+   format.  A tag is never reused: a deleted constructor's tag is
+   retired, and a retired tag fails to decode (retired: MultiPaxos 2, 3,
+   4 and Mencius 0, 1, 3). *)
 
 module Types = Raftpax_consensus.Types
 module Raft = Raftpax_consensus.Raft
@@ -208,23 +210,11 @@ let get_raft r : Raft.msg =
 
 let put_mencius w (m : Mencius.msg) =
   match m with
-  | MAppend { from; inst; cmd } ->
-      C.put_byte w 0;
-      C.put_int w from;
-      C.put_int w inst;
-      put_cmd w cmd
-  | MAck { from; inst } ->
-      C.put_byte w 1;
-      C.put_int w from;
-      C.put_int w inst
   | MSkip { from; first; upto } ->
       C.put_byte w 2;
       C.put_int w from;
       C.put_int w first;
       C.put_int w upto
-  | MCommit { inst } ->
-      C.put_byte w 3;
-      C.put_int w inst
   | MRevoke { from; inst } ->
       C.put_byte w 4;
       C.put_int w from;
@@ -271,21 +261,11 @@ let put_mencius w (m : Mencius.msg) =
 
 let get_mencius r : Mencius.msg =
   match C.u8 r with
-  | 0 ->
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      let cmd = get_cmd r in
-      MAppend { from; inst; cmd }
-  | 1 ->
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      MAck { from; inst }
   | 2 ->
       let from = C.get_int r in
       let first = C.get_int r in
       let upto = C.get_int r in
       MSkip { from; first; upto }
-  | 3 -> MCommit { inst = C.get_int r }
   | 4 ->
       let from = C.get_int r in
       let inst = C.get_int r in
@@ -329,6 +309,7 @@ let get_mencius r : Mencius.msg =
       let insts = C.get_list C.get_int r in
       MAckMulti { from; insts }
   | 12 -> MCommitMulti { insts = C.get_list C.get_int r }
+  | 0 | 1 | 3 -> C.malformed "retired mencius tag"
   | _ -> C.malformed "mencius tag"
 
 (* ---- MultiPaxos ---- *)
@@ -349,21 +330,6 @@ let put_multipaxos w (m : Multipaxos.msg) =
           C.put_int w bal;
           C.put_option put_cmd w value)
         w accepted
-  | Accept { bal; from; inst; cmd } ->
-      C.put_byte w 2;
-      C.put_int w bal;
-      C.put_int w from;
-      C.put_int w inst;
-      C.put_option put_cmd w cmd
-  | AcceptOk { bal; from; inst } ->
-      C.put_byte w 3;
-      C.put_int w bal;
-      C.put_int w from;
-      C.put_int w inst
-  | Learn { inst; cmd } ->
-      C.put_byte w 4;
-      C.put_int w inst;
-      C.put_option put_cmd w cmd
   | Forward cmd ->
       C.put_byte w 5;
       put_cmd w cmd
@@ -412,21 +378,6 @@ let get_multipaxos r : Multipaxos.msg =
           r
       in
       PrepareOk { bal; from; accepted }
-  | 2 ->
-      let bal = C.get_int r in
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      let cmd = C.get_option get_cmd r in
-      Accept { bal; from; inst; cmd }
-  | 3 ->
-      let bal = C.get_int r in
-      let from = C.get_int r in
-      let inst = C.get_int r in
-      AcceptOk { bal; from; inst }
-  | 4 ->
-      let inst = C.get_int r in
-      let cmd = C.get_option get_cmd r in
-      Learn { inst; cmd }
   | 5 -> Forward (get_cmd r)
   | 6 ->
       let cmd_id = C.get_int r in
@@ -459,6 +410,7 @@ let get_multipaxos r : Multipaxos.msg =
           r
       in
       LearnMulti { items }
+  | 2 | 3 | 4 -> C.malformed "retired multipaxos tag"
   | _ -> C.malformed "multipaxos tag"
 
 (* ---- protocol envelope ---- *)

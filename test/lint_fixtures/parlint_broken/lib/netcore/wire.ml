@@ -4,34 +4,22 @@ let get_raft r = if r = 0 then Append { term = 0 } else Ack { from = 0 }
 
 let put_multipaxos w m =
   match m with
-  | Accept _ -> w 0
-  | AcceptOk _ -> w 1
-  | Learn _ -> w 2
   | AcceptMulti _ -> w 3
   | AcceptOkMulti _ -> w 4
   | LearnMulti _ -> w 5
 
 let get_multipaxos r =
   match r with
-  | 0 -> Accept { bal = 0 }
-  | 1 -> AcceptOk { bal = 0 }
-  | 2 -> Learn { inst = 0 }
   | 3 -> AcceptMulti { bal = 0 }
   | 4 -> AcceptOkMulti { bal = 0 }
   | _ -> LearnMulti { insts = [] }
 
 let put_mencius w m =
   match m with
-  | MAppend _ -> w 0
-  | MAck _ -> w 1
-  | MCommit _ -> w 2
   | MAppendMulti _ -> w 3
   | MCommitMulti _ -> w 4
 
 let get_mencius r =
   match r with
-  | 0 -> MAppend { from = 0 }
-  | 1 -> MAck { from = 0 }
-  | 2 -> MCommit { inst = 0 }
   | 3 -> MAppendMulti { from = 0 }
   | _ -> MCommitMulti { insts = [] }

@@ -1,16 +1,10 @@
 type msg =
-  | Accept of { bal : int }
-  | AcceptOk of { bal : int }
-  | Learn of { inst : int }
   | AcceptMulti of { bal : int }
   | AcceptOkMulti of { bal : int }
   | LearnMulti of { insts : int list }
 
 let handle m =
   match m with
-  | Accept _ -> 1
-  | AcceptOk _ -> 2
-  | Learn _ -> 3
   | AcceptMulti _ -> 4
   | AcceptOkMulti _ -> 5
   | LearnMulti _ -> 6

@@ -8,13 +8,20 @@
    flight — to golden digests captured before the rewrites: the
    optimized paths must commit byte-identical histories.
 
+   A second table pins the wire cost model: the bytes each node put on
+   the wire during the seed-2 scenario.  Histories alone cannot see a
+   message's priced size unless it moves a delivery enough to reorder
+   commits.
+
    Regenerate goldens (after an *intentional* behavior change only) with
 
      HOTPATH_PRINT=1 dune exec test/test_hotpath.exe
 
-   and the batched-mode table with
+   and the batched-mode tables with
 
      HOTPATH_PRINT=1 HOTPATH_BATCH=16,2000 dune exec test/test_hotpath.exe
+
+   Each prints the digest rows followed by the seed-2 bytes rows.
 *)
 
 module Sim = Raftpax_sim
@@ -56,8 +63,9 @@ let fnv1a (s : string) : string =
    phase 1 gathers every accepted instance into [gathered].
 
    Everything is simulated, so the committed history is a deterministic
-   function of (protocol, seed). *)
-let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
+   function of (protocol, seed).  Returns the history digest and the
+   bytes each node sent. *)
+let run_scenario_full ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
   let engine = Engine.create ~seed:(Int64.of_int seed) () in
   let nodes = List.mapi (fun i site -> { Net.id = i; site }) Topology.sites in
   let net = Net.create engine ~nodes in
@@ -139,7 +147,10 @@ let run_scenario ?(batch_size = 1) ?(batch_delay_us = 0) protocol seed =
       (cluster.Harness.w_instance.committed_ops ~node);
     Buffer.add_string buf "];"
   done;
-  fnv1a (Buffer.contents buf)
+  (fnv1a (Buffer.contents buf), List.init regions (Net.bytes_sent net))
+
+let run_scenario ?batch_size ?batch_delay_us protocol seed =
+  fst (run_scenario_full ?batch_size ?batch_delay_us protocol seed)
 
 (* Seeds chosen (by instrumenting the accumulator folds) so the Raft*
    runs actually ship extras in the post-heal election — the longest-log
@@ -228,9 +239,9 @@ let test_batched_goldens =
     batched_goldens
 
 (* batch_size = 1 must reproduce the unbatched histories byte-for-byte
-   whatever the flush delay says — the accumulator paths are bypassed
-   entirely, so the *committed* goldens are the oracle, not a separate
-   table. *)
+   whatever the flush delay says — every batch is a batch of one, flushed
+   inside the submitting event, so the *committed* goldens are the
+   oracle, not a separate table. *)
 let test_batch1_identity () =
   List.iter
     (fun protocol ->
@@ -238,6 +249,47 @@ let test_batch1_identity () =
       let got = run_scenario ~batch_size:1 ~batch_delay_us:2_000 protocol 2 in
       Alcotest.(check string) name (List.assoc name goldens) got)
     protocols
+
+(* Per-node bytes sent over the seed-2 scenario.  The unbatched rows
+   price every replicate/ack/commit message of a single instance; the
+   batched rows also price multi-instance flushes. *)
+let bytes_seed = 2
+
+let bytes_table =
+  [
+    ("Raft", [ 89944; 18768; 15280; 46456; 15024 ]);
+    ("Raft*", [ 91384; 20208; 15344; 60504; 15088 ]);
+    ("Raft*-PQL", [ 81032; 44976; 44576; 84136; 38176 ]);
+    ("Raft*-Mencius", [ 69232; 89680; 81696; 87744; 85136 ]);
+    ("MultiPaxos", [ 129200; 19040; 13464; 14944; 14600 ]);
+  ]
+
+let batched_bytes_table =
+  [
+    ("Raft", [ 87976; 32944; 17312; 147496; 18480 ]);
+    ("Raft*", [ 89400; 49120; 16608; 404352; 16880 ]);
+    ("Raft*-PQL", [ 79560; 42304; 35472; 46680; 84976 ]);
+    ("Raft*-Mencius", [ 58072; 73984; 69672; 73984; 67536 ]);
+    ("MultiPaxos", [ 109600; 17016; 11456; 13160; 11880 ]);
+  ]
+
+let check_bytes ?batch_size ?batch_delay_us table () =
+  List.iter
+    (fun protocol ->
+      let name = Harness.protocol_name protocol in
+      let got =
+        snd (run_scenario_full ?batch_size ?batch_delay_us protocol bytes_seed)
+      in
+      match List.assoc_opt name table with
+      | Some want -> Alcotest.(check (list int)) name want got
+      | None -> Alcotest.failf "no bytes row for %s" name)
+    protocols
+
+let test_bytes = check_bytes bytes_table
+
+let test_batched_bytes =
+  check_bytes ~batch_size:(fst batch_knobs) ~batch_delay_us:(snd batch_knobs)
+    batched_bytes_table
 
 let print_goldens () =
   let seeds =
@@ -263,6 +315,16 @@ let print_goldens () =
             seed
             (run_scenario ~batch_size ~batch_delay_us protocol seed))
         seeds)
+    protocols;
+  List.iter
+    (fun protocol ->
+      Printf.printf "    (\"%s\", [ %s ]);\n"
+        (Harness.protocol_name protocol)
+        (String.concat "; "
+           (List.map string_of_int
+              (snd
+                 (run_scenario_full ~batch_size ~batch_delay_us protocol
+                    bytes_seed)))))
     protocols
 
 (* Determinism across repeated in-process runs: the digest depends only
@@ -288,5 +350,11 @@ let () =
             Alcotest.test_case "batch=1 reproduces unbatched goldens" `Slow
               test_batch1_identity;
             QCheck_alcotest.to_alcotest determinism;
+          ] );
+        ( "wire cost",
+          [
+            Alcotest.test_case "bytes sent per node" `Quick test_bytes;
+            Alcotest.test_case "batched bytes sent per node" `Quick
+              test_batched_bytes;
           ] );
       ]
